@@ -23,7 +23,7 @@ use std::collections::HashMap;
 /// Side effects of calling one procedure, as visible at a call site.
 /// Produced by interprocedural MOD/REF analysis; the conservative
 /// default assumes everything is touched.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProcEffects {
     /// Formal positions (0-based) the callee may modify.
     pub mod_params: Vec<usize>,

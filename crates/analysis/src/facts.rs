@@ -74,6 +74,21 @@ impl ScalarFacts {
     pub fn build(unit: &ProcUnit, effects: Option<&EffectsMap>) -> ScalarFacts {
         let symbols = Arc::new(SymbolTable::build(unit));
         let plain_refs = Arc::new(RefTable::build(unit, &symbols));
+        let cfg = Arc::new(Cfg::build(unit));
+        Self::from_tables(unit, symbols, plain_refs, cfg, effects)
+    }
+
+    /// The rest of the pipeline over the unit's already-built symbol
+    /// table, plain reference table and CFG — the three artifacts that
+    /// do not depend on the interprocedural effects, so a caller that
+    /// needs them before it knows the effects builds them only once.
+    pub fn from_tables(
+        unit: &ProcUnit,
+        symbols: Arc<SymbolTable>,
+        plain_refs: Arc<RefTable>,
+        cfg: Arc<Cfg>,
+        effects: Option<&EffectsMap>,
+    ) -> ScalarFacts {
         // Effects only alter references at CALL statements; without one
         // the effects-aware table is byte-identical and shares.
         let refs = if effects.is_some() && has_call(unit) {
@@ -82,7 +97,6 @@ impl ScalarFacts {
             plain_refs.clone()
         };
         let nest = Arc::new(LoopNest::build(unit));
-        let cfg = Arc::new(Cfg::build(unit));
         let dom = Arc::new(DomTree::dominators(&cfg));
         let postdom = Arc::new(DomTree::postdominators(&cfg));
         let defuse = Arc::new(DefUse::build(unit, &symbols, &cfg, &refs, effects));
@@ -104,7 +118,9 @@ impl ScalarFacts {
     }
 }
 
-fn has_call(unit: &ProcUnit) -> bool {
+/// True if the unit contains a `CALL` statement — the only place the
+/// interprocedural effects enter a unit's scalar analyses.
+pub fn has_call(unit: &ProcUnit) -> bool {
     let mut found = false;
     walk_stmts(&unit.body, &mut |s| {
         if matches!(s.kind, StmtKind::Call { .. }) {

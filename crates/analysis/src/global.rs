@@ -9,7 +9,7 @@
 //! machinery can use it; `ped-interproc` re-exports it.)
 
 use crate::symbolic::{to_lin, SymbolicEnv};
-use ped_fortran::ast::{LValue, Program, StmtKind};
+use ped_fortran::ast::{LValue, ProcUnit, Program, StmtKind};
 use ped_fortran::symbols::{Storage, SymbolTable};
 use std::collections::HashMap;
 
@@ -27,23 +27,26 @@ pub fn global_symbolic_facts(program: &Program) -> SymbolicEnv {
             (symbols, refs)
         })
         .collect();
-    let tables: Vec<(&SymbolTable, &crate::refs::RefTable)> =
-        built.iter().map(|(s, r)| (s, r)).collect();
-    global_symbolic_facts_from(program, &tables)
+    global_symbolic_facts_from(
+        program
+            .units
+            .iter()
+            .zip(&built)
+            .map(|(u, (symbols, refs))| (u, symbols, refs)),
+    )
 }
 
-/// [`global_symbolic_facts`] over caller-supplied per-unit tables (one
-/// `(symbols, plain refs)` pair per unit, in unit order) — no table is
-/// rebuilt here.
-pub fn global_symbolic_facts_from(
-    program: &Program,
-    tables: &[(&SymbolTable, &crate::refs::RefTable)],
+/// [`global_symbolic_facts`] over caller-supplied `(unit, symbols,
+/// plain refs)` triples in unit order — no table is rebuilt here. The
+/// units need not live in one `Program`: a dry-run passes the original
+/// units with one replaced by its rewritten copy.
+pub fn global_symbolic_facts_from<'a>(
+    units: impl IntoIterator<Item = (&'a ProcUnit, &'a SymbolTable, &'a crate::refs::RefTable)>,
 ) -> SymbolicEnv {
-    assert_eq!(tables.len(), program.units.len());
     let mut def_count: HashMap<String, usize> = HashMap::new();
     let mut is_common: HashMap<String, bool> = HashMap::new();
     let mut single_defs: Vec<(String, ped_fortran::ast::Expr)> = Vec::new();
-    for (u, (symbols, refs)) in program.units.iter().zip(tables) {
+    for (u, symbols, refs) in units {
         for r in &refs.refs {
             if r.is_def && !r.is_array_elem() {
                 *def_count.entry(r.name.clone()).or_insert(0) += 1;

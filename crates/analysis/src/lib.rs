@@ -18,6 +18,7 @@ pub mod control_dep;
 pub mod defuse;
 pub mod dom;
 pub mod facts;
+pub mod fanout;
 pub mod global;
 pub mod induction;
 pub mod loops;

@@ -238,7 +238,7 @@ impl IndexArrayFact {
 }
 
 /// The symbolic fact environment.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SymbolicEnv {
     /// Equality substitutions `name ↦ linexpr` applied during
     /// normalization. Closed under themselves (no cycles).

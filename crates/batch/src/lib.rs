@@ -34,7 +34,7 @@ use ped_fortran::codec::{Dec, DecodeError, Enc};
 use ped_fortran::fingerprint::source_fingerprint;
 use ped_lint::{Finding, LintOptions};
 use ped_par::{ParOptions, ParReport};
-use ped_transform::ctx::UnitAnalysis;
+use ped_transform::ctx::ProgramAnalysis;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -241,10 +241,13 @@ pub fn finding_line(name: &str, f: &Finding) -> String {
     )
 }
 
-/// Analyze one source cold: parse, per-unit dependence graphs, lint,
-/// parallelize. This is the single implementation behind both the cold
-/// path and every differential oracle — there is no second pipeline to
-/// drift from.
+/// Analyze one source cold: parse, build the program's analysis once,
+/// then read the per-unit dependence summaries, lint and parallelize
+/// from that one [`ProgramAnalysis`]. This is the single
+/// implementation behind both the cold path and every differential
+/// oracle — there is no second pipeline to drift from, and its bytes
+/// equal those of the standalone `lint_program` and
+/// `parallelize_program`, which build their own.
 pub fn analyze_source(name: &str, source: &str, verify: bool) -> ProgramSummary {
     let (program, diags) = ped_fortran::parser::parse(source);
     let parse_errors: Vec<String> = diags
@@ -260,38 +263,21 @@ pub fn analyze_source(name: &str, source: &str, verify: bool) -> ProgramSummary 
             par: None,
         };
     }
-    let effects = ped_interproc::modref_analyze(&program);
+    let pa = ProgramAnalysis::build(&program, 1);
     let units: Vec<DepSummary> = program
         .units
         .iter()
-        .map(|unit| {
-            // Same per-unit environment the lint engine builds: global
-            // interprocedural facts plus the unit's local invariants.
-            let mut env = ped_interproc::global_symbolic_facts(&program);
-            let symbols = ped_fortran::symbols::SymbolTable::build(unit);
-            let refs = ped_analysis::refs::RefTable::build(unit, &symbols);
-            let cfg = ped_analysis::Cfg::build(unit);
-            let local =
-                ped_analysis::symbolic::detect_invariant_relations(unit, &symbols, &refs, &cfg);
-            for (nm, l) in local.subst {
-                env.add_subst(nm, l);
-            }
-            for (nm, r) in local.ranges {
-                env.add_range(nm, r);
-            }
-            let ua = UnitAnalysis::build(unit, env, Some(&effects));
-            DepSummary::of(&unit.name.to_ascii_uppercase(), &ua.graph)
-        })
+        .zip(&pa.units)
+        .map(|(unit, ua)| DepSummary::of(&unit.name.to_ascii_uppercase(), &ua.graph))
         .collect();
-    let mut findings = ped_lint::lint_program(&program, &LintOptions { threads: 1 });
-    ped_lint::sort_findings(&mut findings);
+    let findings = ped_lint::lint_program_with(&program, &pa, &LintOptions { threads: 1 });
     let par_opts = ParOptions {
         threads: 1,
         verify,
         verify_workers: 2,
         ..ParOptions::default()
     };
-    let (par, _) = ped_par::parallelize_program(&program, &par_opts);
+    let (par, _) = ped_par::parallelize_with(&program, &pa, &par_opts);
     ProgramSummary {
         name: name.to_string(),
         parse_errors,

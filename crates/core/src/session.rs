@@ -171,9 +171,9 @@ impl PedSession {
     /// count. `0` sizes the pool to the machine (same policy as the
     /// dependence builder); `1` forces a serial prewarm.
     pub fn open_with(program: Program, threads: usize) -> PedSession {
-        let effects = ped_interproc::modref_analyze(&program);
+        let (effects, facts) =
+            ped_transform::ctx::effects_and_facts(&program, prewarm_workers(&program, threads));
         let cache = AnalysisCache::new();
-        let facts = prewarm_scalar_facts(&program, &effects, threads);
         let usage = UsageLog::default();
         usage.record_n(Feature::ScalarCacheMiss, facts.len());
         for (idx, f) in facts.iter().enumerate() {
@@ -278,21 +278,14 @@ impl PedSession {
         unit_idx: usize,
         assertions: &[Assertion],
     ) -> SymbolicEnv {
-        let tables: Vec<(
-            &ped_fortran::symbols::SymbolTable,
-            &ped_analysis::refs::RefTable,
-        )> = all_facts
-            .iter()
-            .map(|f| (&*f.symbols, &*f.plain_refs))
-            .collect();
-        let mut env = ped_analysis::global::global_symbolic_facts_from(program, &tables);
-        let facts = &all_facts[unit_idx];
-        for (n, l) in &facts.relations.subst {
-            env.add_subst(n.clone(), l.clone());
-        }
-        for (n, r) in &facts.relations.ranges {
-            env.add_range(n.clone(), r.clone());
-        }
+        let global = ped_analysis::global::global_symbolic_facts_from(
+            program
+                .units
+                .iter()
+                .zip(all_facts)
+                .map(|(u, f)| (u, &*f.symbols, &*f.plain_refs)),
+        );
+        let mut env = ped_transform::ctx::unit_env(&global, &all_facts[unit_idx]);
         for a in assertions {
             let _ = a.apply(&mut env);
         }
@@ -900,7 +893,7 @@ impl PedSession {
     /// only the dirty unit is re-linted.
     pub fn lint(&self) -> Vec<ped_lint::Finding> {
         self.usage.record(Feature::AccessToAnalysis);
-        let seeds = ped_interproc::propagate_constants(&self.program);
+        let ctx = ped_lint::LintContext::new(&self.program, &self.effects);
         let mut out: Vec<ped_lint::Finding> = Vec::new();
         for idx in 0..self.program.units.len() {
             let key = self.lint_key(idx);
@@ -912,7 +905,7 @@ impl PedSession {
             self.usage.record(Feature::LintCacheMiss);
             let findings = if idx == self.unit_idx {
                 let user = self.lint_user_context();
-                ped_lint::lint_unit(&self.program, idx, &self.ua, &self.effects, &seeds, &user)
+                ped_lint::lint_unit(&self.program, idx, &self.ua, &ctx, &user)
             } else {
                 let all_facts = self.all_scalar_facts();
                 let env = Self::env_from_facts(&self.program, &all_facts, idx, &[]);
@@ -926,8 +919,7 @@ impl PedSession {
                     &self.program,
                     idx,
                     &ua,
-                    &self.effects,
-                    &seeds,
+                    &ctx,
                     &ped_lint::UserContext::default(),
                 )
             };
@@ -1272,20 +1264,13 @@ impl PedSession {
 /// (the analogue of the dependence builder's pair cutoff).
 const PREWARM_CUTOFF: usize = 256;
 
-/// Build every unit's scalar facts for `open`, in parallel when the
-/// program and the machine are big enough. `threads == 0` sizes the
-/// pool to the probed core count (shared probe with the dependence
-/// builder); `1` stays serial. Units are independent (effects are
-/// precomputed), so workers drain an atomic index and fill per-unit
-/// slots — result order is by unit index either way.
-fn prewarm_scalar_facts(
-    program: &Program,
-    effects: &EffectsMap,
-    threads: usize,
-) -> Vec<Arc<ScalarFacts>> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+/// Workers for `open`'s scalar prewarm: parallel only when the program
+/// and the machine are big enough. `threads == 0` sizes the pool to the
+/// probed core count (shared probe with the dependence builder); `1`
+/// stays serial. The result is by unit index either way.
+fn prewarm_workers(program: &Program, threads: usize) -> usize {
     let n = program.units.len();
-    let workers = match threads {
+    match threads {
         0 => {
             let cores = ped_dependence::probe_cores();
             let mut stmts = 0usize;
@@ -1299,33 +1284,7 @@ fn prewarm_scalar_facts(
             }
         }
         t => t.min(n.max(1)),
-    };
-    if workers <= 1 {
-        return program
-            .units
-            .iter()
-            .map(|u| Arc::new(ScalarFacts::build(u, Some(effects))))
-            .collect();
     }
-    let slots: Vec<std::sync::Mutex<Option<Arc<ScalarFacts>>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let f = Arc::new(ScalarFacts::build(&program.units[i], Some(effects)));
-                *slots[i].lock().unwrap() = Some(f);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("prewarm worker panicked"))
-        .collect()
 }
 
 fn stmt_desc(program: &Program, stmt: StmtId) -> String {

@@ -14,7 +14,7 @@ use ped_analysis::defuse::EffectsMap;
 use ped_analysis::refs::{RefCause, RefTable};
 use ped_analysis::section::{Section, SectionSet};
 use ped_analysis::symbolic::SymbolicEnv;
-use ped_fortran::ast::{LValue, Program, Stmt, StmtKind};
+use ped_fortran::ast::{LValue, ProcUnit, Program, Stmt, StmtKind};
 use ped_fortran::symbols::{Storage, SymbolTable};
 use std::collections::HashMap;
 
@@ -26,28 +26,26 @@ pub struct ArrayKills {
     pub by_global: HashMap<String, SectionSet>,
 }
 
-/// Add `kill_params` / `kill_globals` to MOD/REF summaries.
-pub fn augment_with_kills(program: &Program, fx: &mut EffectsMap) {
-    for unit in &program.units {
-        let symbols = SymbolTable::build(unit);
-        let cfg = Cfg::build(unit);
-        let refs = RefTable::build(unit, &symbols);
-        let uname = unit.name.to_ascii_uppercase();
-        let entry = fx.entry(uname).or_default();
-        entry.kill_params.clear();
-        entry.kill_globals.clear();
-        for (pos, p) in unit.params.iter().enumerate() {
-            if symbols.get(p).is_some_and(|s| s.dims.is_empty()) && scalar_killed(&cfg, &refs, p) {
-                entry.kill_params.push(pos);
-            }
+/// Add the unit's `kill_params` / `kill_globals` to its MOD/REF summary,
+/// from its symbol table, CFG and plain reference table.
+pub(crate) fn set_unit_kills(
+    unit: &ProcUnit,
+    symbols: &SymbolTable,
+    cfg: &Cfg,
+    refs: &RefTable,
+    fx: &mut EffectsMap,
+) {
+    let entry = fx.entry(unit.name.to_ascii_uppercase()).or_default();
+    entry.kill_params.clear();
+    entry.kill_globals.clear();
+    for (pos, p) in unit.params.iter().enumerate() {
+        if symbols.get(p).is_some_and(|s| s.dims.is_empty()) && scalar_killed(cfg, refs, p) {
+            entry.kill_params.push(pos);
         }
-        for s in symbols.iter() {
-            if s.dims.is_empty()
-                && s.storage == Storage::Common
-                && scalar_killed(&cfg, &refs, &s.name)
-            {
-                entry.kill_globals.push(s.name.clone());
-            }
+    }
+    for s in symbols.iter() {
+        if s.dims.is_empty() && s.storage == Storage::Common && scalar_killed(cfg, refs, &s.name) {
+            entry.kill_globals.push(s.name.clone());
         }
     }
 }
@@ -210,8 +208,7 @@ mod tests {
     fn straight_line_scalar_killed() {
         let src = "      SUBROUTINE S(X)\n      X = 1.0\n      RETURN\n      END\n";
         let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = crate::modref::analyze(&p);
         assert_eq!(fx["S"].kill_params, [0]);
     }
 
@@ -219,8 +216,7 @@ mod tests {
     fn use_before_def_not_killed() {
         let src = "      SUBROUTINE S(X)\n      Y = X\n      X = 1.0\n      RETURN\n      END\n";
         let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = crate::modref::analyze(&p);
         assert!(fx["S"].kill_params.is_empty());
     }
 
@@ -228,8 +224,7 @@ mod tests {
     fn conditional_def_not_killed() {
         let src = "      SUBROUTINE S(X, C)\n      IF (C .GT. 0) THEN\n      X = 1.0\n      END IF\n      RETURN\n      END\n";
         let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = crate::modref::analyze(&p);
         assert!(fx["S"].kill_params.is_empty());
     }
 
@@ -237,8 +232,7 @@ mod tests {
     fn def_on_both_arms_killed() {
         let src = "      SUBROUTINE S(X, C)\n      IF (C .GT. 0) THEN\n      X = 1.0\n      ELSE\n      X = 2.0\n      END IF\n      RETURN\n      END\n";
         let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = crate::modref::analyze(&p);
         assert_eq!(fx["S"].kill_params, [0]);
     }
 
@@ -247,8 +241,7 @@ mod tests {
         let src =
             "      SUBROUTINE S\n      COMMON /B/ T\n      T = 0.0\n      RETURN\n      END\n";
         let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = crate::modref::analyze(&p);
         assert_eq!(fx["S"].kill_globals, ["T"]);
     }
 
@@ -284,8 +277,7 @@ mod tests {
     fn goto_bypass_not_killed() {
         let src = "      SUBROUTINE S(X, C)\n      IF (C .GT. 0) GOTO 100\n      X = 1.0\n  100 CONTINUE\n      RETURN\n      END\n";
         let p = parse_ok(src);
-        let mut fx = EffectsMap::new();
-        augment_with_kills(&p, &mut fx);
+        let fx = crate::modref::analyze(&p);
         assert!(fx["S"].kill_params.is_empty());
     }
 }

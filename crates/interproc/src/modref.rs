@@ -9,7 +9,9 @@
 //! calls provably parallel (§4.2).
 
 use crate::callgraph::CallGraph;
+use ped_analysis::cfg::Cfg;
 use ped_analysis::defuse::{EffectsMap, ProcEffects};
+use ped_analysis::refs::RefTable;
 use ped_fortran::ast::{Expr, Program};
 use ped_fortran::symbols::{Storage, SymbolTable};
 use std::collections::HashMap;
@@ -17,11 +19,32 @@ use std::collections::HashMap;
 /// Compute MOD/REF (and flow-sensitive KILL, see [`crate::kill`])
 /// summaries for every unit in the program.
 pub fn analyze(program: &Program) -> EffectsMap {
-    let cg = CallGraph::build(program);
-    let symtabs: HashMap<String, SymbolTable> = program
+    let built: Vec<(SymbolTable, RefTable, Cfg)> = program
         .units
         .iter()
-        .map(|u| (u.name.to_ascii_uppercase(), SymbolTable::build(u)))
+        .map(|u| {
+            let symbols = SymbolTable::build(u);
+            let refs = RefTable::build(u, &symbols);
+            (symbols, refs, Cfg::build(u))
+        })
+        .collect();
+    let tables: Vec<(&SymbolTable, &RefTable, &Cfg)> =
+        built.iter().map(|(s, r, c)| (s, r, c)).collect();
+    analyze_with(program, &tables)
+}
+
+/// [`analyze`] over caller-supplied per-unit tables — one `(symbols,
+/// plain refs, CFG)` triple per unit, in unit order — so no table is
+/// rebuilt here.
+pub fn analyze_with(program: &Program, tables: &[(&SymbolTable, &RefTable, &Cfg)]) -> EffectsMap {
+    assert_eq!(tables.len(), program.units.len());
+    let cg = CallGraph::build(program);
+    // By name; a later unit of the same name shadows an earlier one.
+    let symtabs: HashMap<String, &SymbolTable> = program
+        .units
+        .iter()
+        .zip(tables)
+        .map(|(u, (symbols, _, _))| (u.name.to_ascii_uppercase(), *symbols))
         .collect();
     let mut fx: EffectsMap = EffectsMap::new();
     // Iterate bottom-up to a fixpoint (recursion needs ≤ |units| rounds).
@@ -29,11 +52,25 @@ pub fn analyze(program: &Program) -> EffectsMap {
     for _round in 0..program.units.len().max(1) {
         let mut changed = false;
         for uname in &order {
-            let Some(unit) = program.unit(uname) else {
+            let Some(idx) = program
+                .units
+                .iter()
+                .position(|u| u.name.eq_ignore_ascii_case(uname))
+            else {
                 continue;
             };
-            let symbols = &symtabs[uname];
-            let next = summarize_unit(unit, symbols, &cg, &fx, &symtabs);
+            let unit = &program.units[idx];
+            let symbols = symtabs[uname];
+            // The unit's own refs, unless a same-named unit shadows its
+            // symbol table.
+            let shadowed;
+            let refs = if std::ptr::eq(symbols, tables[idx].0) {
+                tables[idx].1
+            } else {
+                shadowed = RefTable::build(unit, symbols);
+                &shadowed
+            };
+            let next = summarize_unit(unit, symbols, refs, &cg, &fx, &symtabs);
             let entry = fx.entry(uname.clone()).or_default();
             if !same_effects(entry, &next) {
                 *entry = next;
@@ -45,7 +82,9 @@ pub fn analyze(program: &Program) -> EffectsMap {
         }
     }
     // Flow-sensitive KILL augmentation.
-    crate::kill::augment_with_kills(program, &mut fx);
+    for (u, (symbols, refs, cfg)) in program.units.iter().zip(tables) {
+        crate::kill::set_unit_kills(u, symbols, cfg, refs, &mut fx);
+    }
     fx
 }
 
@@ -59,9 +98,10 @@ fn same_effects(a: &ProcEffects, b: &ProcEffects) -> bool {
 fn summarize_unit(
     unit: &ped_fortran::ast::ProcUnit,
     symbols: &SymbolTable,
+    refs: &RefTable,
     cg: &CallGraph,
     fx: &EffectsMap,
-    symtabs: &HashMap<String, SymbolTable>,
+    symtabs: &HashMap<String, &SymbolTable>,
 ) -> ProcEffects {
     let mut e = ProcEffects::default();
     let formal_pos: HashMap<&str, usize> = unit
@@ -95,7 +135,6 @@ fn summarize_unit(
         }
     };
     // Direct effects from the reference table.
-    let refs = ped_analysis::refs::RefTable::build(unit, symbols);
     for r in &refs.refs {
         // CallArg refs are handled via callee summaries below, except
         // for calls to units we cannot see (assume both mod and ref).

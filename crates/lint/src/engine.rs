@@ -13,6 +13,7 @@ use crate::rules::RuleCode;
 use crate::witness::{witness_for, Witness};
 use ped_analysis::constprop::Constants;
 use ped_analysis::defuse::EffectsMap;
+use ped_analysis::fanout::map_ordered;
 use ped_analysis::loops::LoopInfo;
 use ped_analysis::privatize::{analyze_loop as priv_analyze, PrivStatus};
 use ped_analysis::reductions::find_reductions;
@@ -22,8 +23,9 @@ use ped_fortran::ast::*;
 use ped_fortran::diag::{Diagnostic, Severity};
 use ped_fortran::span::Span;
 use ped_interproc::SeedMap;
-use ped_transform::ctx::UnitAnalysis;
+use ped_transform::ctx::{ProgramAnalysis, UnitAnalysis};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// One lint finding, anchored to a unit and a source span.
 #[derive(Clone, Debug, PartialEq)]
@@ -126,15 +128,48 @@ fn sched_of(unit: &ProcUnit, info: &LoopInfo) -> LoopSched {
     }
 }
 
+/// Program-level inputs every unit's lint shares, computed at most once
+/// per lint pass: the MOD/REF effects, the interprocedural constant
+/// seeds and the cross-procedure composition issues. The last two are
+/// built on first use — seeds only matter to audited assertions, and a
+/// session lint answered wholly from its memo needs neither.
+pub struct LintContext<'a> {
+    program: &'a Program,
+    effects: &'a EffectsMap,
+    seeds: OnceLock<SeedMap>,
+    compose: OnceLock<Vec<ped_interproc::ComposeIssue>>,
+}
+
+impl<'a> LintContext<'a> {
+    pub fn new(program: &'a Program, effects: &'a EffectsMap) -> LintContext<'a> {
+        LintContext {
+            program,
+            effects,
+            seeds: OnceLock::new(),
+            compose: OnceLock::new(),
+        }
+    }
+
+    fn seeds(&self) -> &SeedMap {
+        self.seeds
+            .get_or_init(|| ped_interproc::propagate_constants(self.program))
+    }
+
+    fn compose(&self) -> &[ped_interproc::ComposeIssue] {
+        self.compose
+            .get_or_init(|| ped_interproc::compose_check(self.program))
+    }
+}
+
 /// Lint a single analyzed unit under the user's decisions.
 pub fn lint_unit(
     program: &Program,
     unit_idx: usize,
     ua: &UnitAnalysis,
-    effects: &EffectsMap,
-    seeds: &SeedMap,
+    ctx: &LintContext,
     user: &UserContext,
 ) -> Vec<Finding> {
+    let effects = ctx.effects;
     let unit = &program.units[unit_idx];
     let uname = unit.name.to_ascii_uppercase();
     let mut out = Vec::new();
@@ -359,7 +394,7 @@ pub fn lint_unit(
     // PED009: calls whose argument lists disagree with the callee's
     // declared dummies — the interprocedural summaries composed across
     // such a call (MOD/REF, constant seeds) are unreliable.
-    for issue in ped_interproc::compose_check(program) {
+    for issue in ctx.compose() {
         match issue {
             ped_interproc::ComposeIssue::ArgCountMismatch {
                 caller,
@@ -367,11 +402,11 @@ pub fn lint_unit(
                 stmt,
                 got,
                 want,
-            } if caller == uname => push(
+            } if *caller == uname => push(
                 &mut out,
                 RuleCode::ArgMismatch,
-                span_of(unit, stmt),
-                &callee,
+                span_of(unit, *stmt),
+                callee,
                 format!(
                     "CALL {callee} passes {got} argument(s) but the declaration \
                      has {want}; summaries composed across this call are unreliable",
@@ -385,11 +420,11 @@ pub fn lint_unit(
                 pos,
                 got,
                 want,
-            } if caller == uname => push(
+            } if *caller == uname => push(
                 &mut out,
                 RuleCode::ArgMismatch,
-                span_of(unit, stmt),
-                &callee,
+                span_of(unit, *stmt),
+                callee,
                 format!(
                     "CALL {callee}, argument {}: actual is {got} but the formal \
                      is {want}",
@@ -449,7 +484,7 @@ pub fn lint_unit(
         // Facts the analyses derive *without* assertions — the baseline
         // an assertion must be consistent with.
         let base = base_env(program, unit_idx, ua);
-        let consts = Constants::build(unit, &ua.symbols, &ua.cfg, seeds.get(&uname));
+        let consts = Constants::build(unit, &ua.symbols, &ua.cfg, ctx.seeds().get(&uname));
         let headers: Vec<StmtId> = ua.nest.loops.iter().map(|i| i.stmt).collect();
         for fact in &user.asserted {
             let mut contradicted = None;
@@ -538,51 +573,25 @@ fn base_env(program: &Program, unit_idx: usize, ua: &UnitAnalysis) -> SymbolicEn
 /// Analysis runs per-unit, optionally on several threads; the merged
 /// report is byte-identical for any thread count.
 pub fn lint_program(program: &Program, opts: &LintOptions) -> Vec<Finding> {
-    let effects = ped_interproc::modref_analyze(program);
-    let seeds = ped_interproc::propagate_constants(program);
+    lint_program_with(
+        program,
+        &ProgramAnalysis::build(program, opts.threads),
+        opts,
+    )
+}
+
+/// [`lint_program`] over an already-built [`ProgramAnalysis`] of
+/// `program`.
+pub fn lint_program_with(
+    program: &Program,
+    pa: &ProgramAnalysis,
+    opts: &LintOptions,
+) -> Vec<Finding> {
+    let ctx = LintContext::new(program, &pa.effects);
     let user = UserContext::default();
-    let n = program.units.len();
-    let lint_one = |idx: usize| -> Vec<Finding> {
-        let unit = &program.units[idx];
-        let mut env = ped_interproc::global_symbolic_facts(program);
-        let symbols = ped_fortran::symbols::SymbolTable::build(unit);
-        let refs = ped_analysis::refs::RefTable::build(unit, &symbols);
-        let cfg = ped_analysis::Cfg::build(unit);
-        let local = ped_analysis::symbolic::detect_invariant_relations(unit, &symbols, &refs, &cfg);
-        for (nm, l) in local.subst {
-            env.add_subst(nm, l);
-        }
-        for (nm, r) in local.ranges {
-            env.add_range(nm, r);
-        }
-        let ua = UnitAnalysis::build(unit, env, Some(&effects));
-        lint_unit(program, idx, &ua, &effects, &seeds, &user)
-    };
-    let mut per_unit: Vec<Vec<Finding>> = Vec::with_capacity(n);
-    if opts.threads <= 1 || n <= 1 {
-        for idx in 0..n {
-            per_unit.push(lint_one(idx));
-        }
-    } else {
-        let mut slots: Vec<Option<Vec<Finding>>> = (0..n).map(|_| None).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slot_refs: Vec<std::sync::Mutex<&mut Option<Vec<Finding>>>> =
-            slots.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..opts.threads.min(n) {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let res = lint_one(idx);
-                    **slot_refs[idx].lock().unwrap() = Some(res);
-                });
-            }
-        });
-        drop(slot_refs);
-        per_unit.extend(slots.into_iter().map(|s| s.unwrap_or_default()));
-    }
+    let per_unit = map_ordered(program.units.len(), opts.threads, |idx| {
+        lint_unit(program, idx, &pa.units[idx], &ctx, &user)
+    });
     let mut out: Vec<Finding> = per_unit.into_iter().flatten().collect();
     sort_findings(&mut out);
     out

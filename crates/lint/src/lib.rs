@@ -22,8 +22,8 @@ pub mod serial;
 pub mod witness;
 
 pub use engine::{
-    findings_fingerprint, lint_program, lint_unit, sort_findings, tally, AssertedFact, Finding,
-    LintOptions, UserContext,
+    findings_fingerprint, lint_program, lint_program_with, lint_unit, sort_findings, tally,
+    AssertedFact, Finding, LintContext, LintOptions, UserContext,
 };
 pub use rules::RuleCode;
 pub use serial::{decode_findings, encode_findings};

@@ -1,35 +1,23 @@
-//! Per-unit nest classification: rebuild the unit's analyses the same
-//! way the lint engine does (interprocedural MOD/REF effects, global
-//! symbolic facts, local invariant relations), then decide each loop
-//! nest and, for serial nests, plan dependence-breaking transforms.
+//! Per-unit nest classification: read each unit's bundle from the
+//! program's shared [`ProgramAnalysis`] (interprocedural MOD/REF
+//! effects, global symbolic facts, local invariant relations), then
+//! decide each loop nest and, for serial nests, plan
+//! dependence-breaking transforms.
 
-use crate::{plan, BlockingDep, NestClass, NestDecision, ParOptions};
-use ped_analysis::defuse::EffectsMap;
-use ped_analysis::loops::LoopInfo;
+use crate::{plan, BlockingDep, NestClass, NestDecision, ParOptions, Ranks};
+use ped_analysis::fanout::map_ordered;
+use ped_analysis::loops::{LoopId, LoopInfo};
 use ped_fortran::ast::{find_stmt, walk_stmts, ProcUnit, Program, StmtId, StmtKind};
-use ped_transform::ctx::UnitAnalysis;
+use ped_transform::ctx::ProgramAnalysis;
+use std::collections::HashSet;
 
-/// Build one unit's analysis bundle for the batch pass: global
-/// interprocedural symbolic facts plus the unit's invariant relations,
-/// with MOD/REF effects threaded into reference collection.
-pub(crate) fn unit_analysis(
-    program: &Program,
-    unit_idx: usize,
-    effects: &EffectsMap,
-) -> UnitAnalysis {
-    let unit = &program.units[unit_idx];
-    let mut env = ped_interproc::global_symbolic_facts(program);
-    let symbols = ped_fortran::symbols::SymbolTable::build(unit);
-    let refs = ped_analysis::refs::RefTable::build(unit, &symbols);
-    let cfg = ped_analysis::Cfg::build(unit);
-    let local = ped_analysis::symbolic::detect_invariant_relations(unit, &symbols, &refs, &cfg);
-    for (n, l) in local.subst {
-        env.add_subst(n, l);
-    }
-    for (n, r) in local.ranges {
-        env.add_range(n, r);
-    }
-    UnitAnalysis::build(unit, env, Some(effects))
+/// The classifier's output: the decisions (unit order, then loop
+/// order), each unit's dependence-parallel loops, and the cost ranks.
+/// `emit` reuses the last two for every unit no transform touched.
+pub(crate) struct Classified {
+    pub decisions: Vec<NestDecision>,
+    pub parallel: Vec<HashSet<LoopId>>,
+    pub ranks: Ranks,
 }
 
 /// Source line of a statement (falls back to the unit header).
@@ -61,55 +49,48 @@ pub fn has_io(unit: &ProcUnit, info: &LoopInfo) -> bool {
 /// the report is thread-count invariant.
 pub(crate) fn classify_program(
     program: &Program,
-    effects: &EffectsMap,
+    pa: &ProgramAnalysis,
     opts: &ParOptions,
-) -> Vec<NestDecision> {
+) -> Classified {
     let ranks = crate::rank_map(program);
-    let n = program.units.len();
-    let one = |unit_idx: usize| -> Vec<NestDecision> {
-        classify_unit(program, unit_idx, effects, opts, &ranks)
-    };
-    let mut per_unit: Vec<Vec<NestDecision>> = Vec::with_capacity(n);
-    if opts.threads <= 1 || n <= 1 {
-        for idx in 0..n {
-            per_unit.push(one(idx));
-        }
-    } else {
-        let mut slots: Vec<Option<Vec<NestDecision>>> = (0..n).map(|_| None).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slot_refs: Vec<std::sync::Mutex<&mut Option<Vec<NestDecision>>>> =
-            slots.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..opts.threads.min(n) {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let res = one(idx);
-                    **slot_refs[idx].lock().unwrap() = Some(res);
-                });
-            }
-        });
-        drop(slot_refs);
-        per_unit.extend(slots.into_iter().map(|s| s.unwrap_or_default()));
+    let per_unit = map_ordered(program.units.len(), opts.threads, |unit_idx| {
+        classify_unit(program, unit_idx, pa, opts, &ranks)
+    });
+    let (decisions, parallel): (Vec<_>, Vec<_>) = per_unit.into_iter().unzip();
+    Classified {
+        decisions: decisions.into_iter().flatten().collect(),
+        parallel,
+        ranks,
     }
-    per_unit.into_iter().flatten().collect()
 }
 
 fn classify_unit(
     program: &Program,
     unit_idx: usize,
-    effects: &EffectsMap,
+    pa: &ProgramAnalysis,
     opts: &ParOptions,
-    ranks: &std::collections::HashMap<(String, StmtId), (f64, f64)>,
-) -> Vec<NestDecision> {
-    let ua = unit_analysis(program, unit_idx, effects);
+    ranks: &Ranks,
+) -> (Vec<NestDecision>, HashSet<LoopId>) {
+    let ua = &pa.units[unit_idx];
     let unit = &program.units[unit_idx];
     let uname = unit.name.to_ascii_uppercase();
+    let reports: Vec<_> = ua
+        .nest
+        .loops
+        .iter()
+        .map(|info| ped_transform::analyze_parallelization(unit, ua, info.id))
+        .collect();
+    let parallel: HashSet<LoopId> = ua
+        .nest
+        .loops
+        .iter()
+        .zip(&reports)
+        .filter(|(_, rep)| rep.is_parallel())
+        .map(|(info, _)| info.id)
+        .collect();
+    let p0: HashSet<StmtId> = parallel.iter().map(|&l| ua.nest.get(l).stmt).collect();
     let mut out = Vec::new();
-    for info in &ua.nest.loops {
-        let rep = ped_transform::analyze_parallelization(unit, &ua, info.id);
+    for (info, rep) in ua.nest.loops.iter().zip(reports) {
         let (weight, percent) = ranks
             .get(&(uname.clone(), info.stmt))
             .copied()
@@ -144,9 +125,9 @@ fn classify_unit(
         if rep.is_parallel() {
             d.class = NestClass::Parallel;
         } else if opts.plan_transforms {
-            plan::plan_nest(program, unit_idx, &ua, info.id, &mut d);
+            plan::plan_nest(program, unit_idx, pa, info.id, &p0, &mut d);
         }
         out.push(d);
     }
-    out
+    (out, parallel)
 }

@@ -38,8 +38,11 @@ pub use classify::has_io;
 pub use report::{render_report, render_summary, summary_row};
 pub use serial::{decode_report, encode_report};
 
-use ped_analysis::defuse::EffectsMap;
+use classify::Classified;
+use ped_analysis::loops::LoopId;
 use ped_fortran::ast::{LoopSched, Program, StmtId, StmtKind};
+use ped_transform::ctx::{ProgramAnalysis, Rewrite};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Options for the pass.
@@ -263,9 +266,23 @@ impl ParReport {
 /// report and the rewritten program carrying the verified `CDOALL`
 /// directives (plus any fired transformations).
 pub fn parallelize_program(program: &Program, opts: &ParOptions) -> (ParReport, Program) {
-    let effects = ped_interproc::modref_analyze(program);
-    let mut decisions = classify::classify_program(program, &effects, opts);
-    let (mut rewritten, mut directives) = emit(program, &mut decisions, opts);
+    parallelize_with(
+        program,
+        &ProgramAnalysis::build(program, opts.threads),
+        opts,
+    )
+}
+
+/// [`parallelize_program`] over an already-built [`ProgramAnalysis`]
+/// of `program`.
+pub fn parallelize_with(
+    program: &Program,
+    pa: &ProgramAnalysis,
+    opts: &ParOptions,
+) -> (ParReport, Program) {
+    let mut classified = classify::classify_program(program, pa, opts);
+    let (mut rewritten, mut directives) = emit(program, pa, &mut classified, opts);
+    let mut decisions = classified.decisions;
     let verify = if opts.verify {
         Some(verify::differential_gate(
             program,
@@ -289,10 +306,9 @@ pub fn parallelize_program(program: &Program, opts: &ParOptions) -> (ParReport, 
 
 /// Static analysis only: classify and plan, but do not rewrite or run.
 pub fn analyze(program: &Program, opts: &ParOptions) -> ParReport {
-    let effects = ped_interproc::modref_analyze(program);
-    let decisions = classify::classify_program(program, &effects, opts);
+    let pa = ProgramAnalysis::build(program, opts.threads);
     ParReport {
-        decisions,
+        decisions: classify::classify_program(program, &pa, opts).decisions,
         directives: Vec::new(),
         verify: None,
     }
@@ -300,13 +316,18 @@ pub fn analyze(program: &Program, opts: &ParOptions) -> ParReport {
 
 /// Build the rewritten program: apply each fired transformation, then
 /// mark every profitable outermost parallel nest `CDOALL`. Updates the
-/// decisions' `emitted`/`emit_skip` fields.
+/// decisions' `emitted`/`emit_skip` fields. A unit's analyses are
+/// re-derived only where a transformation changed their inputs;
+/// elsewhere classify's bundle, parallel set and cost ranks are reused.
 fn emit(
     program: &Program,
-    decisions: &mut [NestDecision],
+    pa: &ProgramAnalysis,
+    classified: &mut Classified,
     opts: &ParOptions,
 ) -> (Program, Vec<Directive>) {
+    let decisions = &mut classified.decisions;
     let mut out = program.clone();
+    let mut rw = Rewrite::new(pa);
     // 1. Apply fired transformations, in decision order. Each decision's
     // target loop is located by its original `DO` statement id, which
     // earlier transformations of *other* nests do not disturb.
@@ -314,7 +335,16 @@ fn emit(
         let Some(t) = d.transform.clone() else {
             continue;
         };
-        if let Err(e) = plan::apply_by_name(&mut out, d.unit_idx, d.stmt, &t) {
+        let ua = rw.analyze(&out.units.iter().collect::<Vec<_>>(), d.unit_idx);
+        let applied = match ua.nest.by_stmt(d.stmt) {
+            Some(info) => {
+                let r = plan::apply(&t, &mut out, d.unit_idx, &ua, info.id);
+                rw.rewritten(d.unit_idx, &out.units[d.unit_idx]);
+                r
+            }
+            None => Err("target loop no longer present".to_string()),
+        };
+        if let Err(e) = applied {
             d.class = NestClass::Serial;
             d.transform = None;
             d.rejections.push(TransformRejection {
@@ -326,21 +356,31 @@ fn emit(
     }
     // 2. Mark profitable outermost parallel nests in the rewritten
     // program and record the directives.
-    let effects = ped_interproc::modref_analyze(&out);
-    let ranks = rank_map(&out);
+    let fresh_ranks;
+    let ranks = if rw.is_dirty() {
+        fresh_ranks = rank_map(&out);
+        &fresh_ranks
+    } else {
+        &classified.ranks
+    };
     let mut directives = Vec::new();
     for unit_idx in 0..out.units.len() {
-        let ua = classify::unit_analysis(&out, unit_idx, &effects);
+        let ua = rw.analyze(&out.units.iter().collect::<Vec<_>>(), unit_idx);
         let unit = &out.units[unit_idx];
         let uname = unit.name.to_ascii_uppercase();
         // Dependence-parallel loops of the rewritten unit.
-        let eligible: HashSet<ped_analysis::loops::LoopId> = ua
-            .nest
-            .loops
-            .iter()
-            .filter(|info| ped_transform::analyze_parallelization(unit, &ua, info.id).is_parallel())
-            .map(|info| info.id)
-            .collect();
+        let eligible: HashSet<LoopId> = match &ua {
+            Cow::Borrowed(_) => classified.parallel[unit_idx].clone(),
+            Cow::Owned(ua) => ua
+                .nest
+                .loops
+                .iter()
+                .filter(|info| {
+                    ped_transform::analyze_parallelization(unit, ua, info.id).is_parallel()
+                })
+                .map(|info| info.id)
+                .collect(),
+        };
         let mut skip: HashMap<StmtId, String> = HashMap::new();
         let mut marks: Vec<(StmtId, u32, String, f64, f64)> = Vec::new();
         for info in &ua.nest.loops {
@@ -453,7 +493,9 @@ fn emit(
 }
 
 /// `(unit, DO stmt) → (weight, percent)` from the static cost estimate.
-fn rank_map(program: &Program) -> HashMap<(String, StmtId), (f64, f64)> {
+pub(crate) type Ranks = HashMap<(String, StmtId), (f64, f64)>;
+
+fn rank_map(program: &Program) -> Ranks {
     ped_estimate::rank_loops(program, &ped_estimate::CostModel::default(), None)
         .into_iter()
         .map(|r| ((r.unit.to_ascii_uppercase(), r.stmt), (r.weight, r.percent)))
@@ -468,8 +510,4 @@ pub fn program_fingerprint(program: &Program) -> u64 {
         h = h.u64(ped_fortran::fingerprint::unit_fingerprint(u));
     }
     h.done()
-}
-
-pub(crate) fn effects_for(program: &Program) -> EffectsMap {
-    ped_interproc::modref_analyze(program)
 }

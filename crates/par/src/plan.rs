@@ -4,21 +4,21 @@
 //! ordered list of dependence-breaking transformations (the "power
 //! steering" advice of §5.1 decides applicability/safety/profitability
 //! without running anything), applies each surviving candidate to a
-//! scratch copy of the program, rebuilds the unit's analyses, and fires
-//! the first candidate that exposes a loop which was not parallel
-//! before. Every rejected candidate leaves a machine-readable record of
-//! the rule that rejected it.
+//! scratch copy of the nest's unit, re-derives that unit's analyses
+//! from the program's shared ones (see [`Rewrite`]), and fires the
+//! first candidate that exposes a loop which was not parallel before.
+//! Every rejected candidate leaves a machine-readable record of the
+//! rule that rejected it.
 
-use crate::{classify, NestClass, NestDecision, TransformRejection};
+use crate::{NestClass, NestDecision, TransformRejection};
 use ped_analysis::loops::LoopId;
-use ped_fortran::ast::{Program, StmtId};
+use ped_fortran::ast::{ProcUnit, Program, StmtId};
 use ped_transform::advice::{Advice, Profit, Safety};
-use ped_transform::ctx::UnitAnalysis;
+use ped_transform::ctx::{ProgramAnalysis, Rewrite, UnitAnalysis};
 use std::collections::HashSet;
 
 /// `DO` statements of the unit's dependence-parallel loops.
-fn parallel_set(program: &Program, unit_idx: usize, ua: &UnitAnalysis) -> HashSet<StmtId> {
-    let unit = &program.units[unit_idx];
+fn parallel_set(unit: &ProcUnit, ua: &UnitAnalysis) -> HashSet<StmtId> {
     ua.nest
         .loops
         .iter()
@@ -68,7 +68,7 @@ fn advice_for(
     }
 }
 
-fn apply(
+pub(crate) fn apply(
     name: &str,
     program: &mut Program,
     unit_idx: usize,
@@ -97,15 +97,17 @@ fn induction_var(name: &str) -> &str {
 }
 
 /// Try every candidate on `d`'s nest; fire the first one that exposes a
-/// new parallel loop, recording the rejecting rule for the rest.
+/// new parallel loop (one not in `p0`, the unit's parallel set), and
+/// record the rejecting rule for the rest.
 pub(crate) fn plan_nest(
     program: &Program,
     unit_idx: usize,
-    ua: &UnitAnalysis,
+    pa: &ProgramAnalysis,
     l: LoopId,
+    p0: &HashSet<StmtId>,
     d: &mut NestDecision,
 ) {
-    let p0 = parallel_set(program, unit_idx, ua);
+    let ua = &pa.units[unit_idx];
     for name in candidates(ua, d) {
         let advice = advice_for(&name, program, unit_idx, ua, l);
         if !advice.applicable {
@@ -132,9 +134,13 @@ pub(crate) fn plan_nest(
             });
             continue;
         }
-        // Dry-run on a scratch copy and re-derive the dependences.
-        let mut scratch = program.clone();
-        if let Err(rule) = apply(&name, &mut scratch, unit_idx, ua, l) {
+        // Dry-run on a scratch copy of the unit (fresh statement ids
+        // continue the program's sequence) and re-derive its analyses.
+        let mut scratch = Program {
+            units: vec![program.units[unit_idx].clone()],
+            next_stmt: program.next_stmt,
+        };
+        if let Err(rule) = apply(&name, &mut scratch, 0, ua, l) {
             d.rejections.push(TransformRejection {
                 transform: name,
                 category: "apply-failed",
@@ -142,10 +148,17 @@ pub(crate) fn plan_nest(
             });
             continue;
         }
-        let effects = crate::effects_for(&scratch);
-        let sua = classify::unit_analysis(&scratch, unit_idx, &effects);
-        let p1 = parallel_set(&scratch, unit_idx, &sua);
-        if p1.difference(&p0).next().is_some() {
+        let unit = &scratch.units[0];
+        let mut rw = Rewrite::new(pa);
+        rw.rewritten(unit_idx, unit);
+        let units: Vec<&ProcUnit> = program
+            .units
+            .iter()
+            .enumerate()
+            .map(|(i, u)| if i == unit_idx { unit } else { u })
+            .collect();
+        let sua = rw.analyze(&units, unit_idx);
+        if parallel_set(unit, &sua).difference(p0).next().is_some() {
             d.class = NestClass::ParallelAfterTransform;
             d.transform = Some(name);
             return;
@@ -156,22 +169,4 @@ pub(crate) fn plan_nest(
             rule: "applied cleanly but exposed no new parallel loop".into(),
         });
     }
-}
-
-/// Re-apply a fired transformation inside `emit`, locating the target
-/// nest by its original `DO` statement id.
-pub(crate) fn apply_by_name(
-    program: &mut Program,
-    unit_idx: usize,
-    stmt: StmtId,
-    name: &str,
-) -> Result<(), String> {
-    let effects = crate::effects_for(program);
-    let ua = classify::unit_analysis(program, unit_idx, &effects);
-    let l = ua
-        .nest
-        .by_stmt(stmt)
-        .map(|info| info.id)
-        .ok_or_else(|| "target loop no longer present".to_string())?;
-    apply(name, program, unit_idx, &ua, l)
 }

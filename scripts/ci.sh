@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo build --release --offline --workspace
 cargo test -q --offline
+# Every member crate's unit and integration tests (the line above runs
+# only the root package's).
+cargo test -q --offline --workspace
 
 # ped-lint self-check over the examples/ fixtures: the clean fixtures
 # must pass even with warnings denied, and the seeded racy fixture must
@@ -29,11 +32,13 @@ cargo build --release --offline -p ped-bench --bin ped-bench
 echo "ci: dependence oracle + smoke passed"
 
 # Interning gates: rendered output across every workload must be
-# byte-identical to the pre-interning goldens, and one reanalyze miss
-# must build each scalar artifact exactly once.
+# byte-identical to the pre-interning goldens, one reanalyze miss must
+# build each scalar artifact exactly once, and a cold batch analysis
+# must build the exact pinned number of symbol/ref tables and CFGs.
 cargo test -q --offline -p ped --test interning_oracle
 cargo test -q --offline -p ped --test build_counts
-echo "ci: interning oracle + single-build gate passed"
+cargo test -q --offline -p ped-batch --test build_counts
+echo "ci: interning oracle + single-build gates passed"
 
 # Server smoke gate: 8 concurrent wire clients against the nonblocking
 # event loop, every response byte-identical to the single-threaded
