@@ -8,10 +8,11 @@
 //!
 //! Two properties carry the design:
 //!
-//! * **Determinism.** Jobs run under a work-stealing scheduler
-//!   ([`steal::StealQueues`]) but results land in input-indexed slots,
-//!   so the merged report is byte-identical for any thread count and
-//!   any steal interleaving.
+//! * **Determinism.** Jobs fan out through
+//!   [`ped_analysis::fanout::map_ordered`]: workers take the next job
+//!   index from a shared counter and results land in input-indexed
+//!   slots, so the merged report is byte-identical for any thread count
+//!   and any schedule.
 //! * **Persistence.** Each program's result surface (a
 //!   [`ProgramSummary`]: per-unit dependence summaries, lint findings,
 //!   the parallelization report) serializes losslessly through
@@ -26,9 +27,8 @@
 //! reject trailing garbage and unknown tags, and on any failure the
 //! driver falls back to the cold path and overwrites the bad entry.
 
-pub mod steal;
-
 use ped::persist::DiskCache;
+use ped_analysis::fanout;
 use ped_dependence::DepSummary;
 use ped_fortran::codec::{Dec, DecodeError, Enc};
 use ped_fortran::fingerprint::source_fingerprint;
@@ -176,9 +176,6 @@ pub struct BatchStats {
     pub cache_misses: usize,
     /// Worker threads actually used.
     pub threads: usize,
-    /// Work-stealing telemetry: (steal operations, jobs moved).
-    pub steals: u64,
-    pub stolen_jobs: u64,
 }
 
 /// The merged, deterministic batch report.
@@ -319,43 +316,11 @@ fn run_job(job: &BatchJob, opts: &BatchOptions) -> ProgramResult {
 /// worker count or which worker ran which job.
 pub fn run_batch(jobs: &[BatchJob], opts: &BatchOptions) -> BatchReport {
     let n = jobs.len();
-    let workers = match opts.threads {
-        0 => ped_dependence::probe_cores().min(8).min(n.max(1)),
-        t => t.min(n.max(1)),
-    };
-    let mut results: Vec<Option<ProgramResult>> = (0..n).map(|_| None).collect();
-    let mut steals = (0u64, 0u64);
-    if workers <= 1 {
-        for (i, job) in jobs.iter().enumerate() {
-            results[i] = Some(run_job(job, opts));
-        }
-    } else {
-        let queues = steal::StealQueues::deal(n, workers);
-        let slots: Vec<std::sync::Mutex<&mut Option<ProgramResult>>> =
-            results.iter_mut().map(std::sync::Mutex::new).collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queues = &queues;
-                let slots = &slots;
-                s.spawn(move || {
-                    while let Some(j) = queues.pop(w) {
-                        let r = run_job(&jobs[j], opts);
-                        **slots[j].lock().unwrap() = Some(r);
-                    }
-                });
-            }
-        });
-        steals = queues.steal_counts();
-    }
-    let results: Vec<ProgramResult> = results
-        .into_iter()
-        .map(|r| r.expect("batch worker panicked"))
-        .collect();
+    let workers = fanout::workers(opts.threads, n);
+    let results = fanout::map_ordered(n, workers, |i| run_job(&jobs[i], opts));
     let mut stats = BatchStats {
         programs: n,
         threads: workers,
-        steals: steals.0,
-        stolen_jobs: steals.1,
         ..BatchStats::default()
     };
     for r in &results {
@@ -588,6 +553,13 @@ mod tests {
                 },
             );
             assert_eq!(base.render(), r.render(), "threads={threads}");
+            // Every counter but the worker count is schedule-free.
+            assert_eq!(r.stats.threads, threads.min(jobs.len()));
+            let stats = BatchStats {
+                threads: base.stats.threads,
+                ..r.stats
+            };
+            assert_eq!(base.stats, stats, "threads={threads}");
         }
     }
 

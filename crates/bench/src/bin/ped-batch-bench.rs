@@ -11,8 +11,8 @@
 //!   new process as far as the cache can tell): every program answered
 //!   from disk, no parse, no analysis. Gate: ≥ 5x over cold, and the
 //!   rendered body must be byte-identical to the cold run's;
-//! * **thread scaling** — cold, uncached, 1 worker vs 8 on the
-//!   work-stealing scheduler. The 2.5x gate applies when the host
+//! * **thread scaling** — cold, uncached, 1 worker vs 8 through the
+//!   ordered fan-out. The 2.5x gate applies when the host
 //!   actually has ≥ 4 cores; below that the gate degrades honestly
 //!   (≥ 1.2x on 2–3 cores, no-regression on 1) and the JSON records
 //!   the measured core count so readers know which gate ran.
@@ -153,7 +153,7 @@ fn main() {
     let t8_s = median(&mut t8_times);
     let warm_speedup = cold_s / warm_s.max(1e-9);
     let scaling = t1_s / t8_s.max(1e-9);
-    let cores = ped_dependence::probe_cores();
+    let cores = ped_analysis::fanout::probe_cores();
 
     println!("{:>22} {:>12}", "regime", "median");
     println!("{:>22} {:>11.4}s", "cold (1 thread)", cold_s);

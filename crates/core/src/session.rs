@@ -13,6 +13,7 @@ use crate::filter::{DepFilter, VarFilter};
 use crate::panes::{DepRow, SourceRow, VarRow};
 use crate::usage::{Feature, UsageLog};
 use ped_analysis::defuse::EffectsMap;
+use ped_analysis::fanout;
 use ped_analysis::loops::LoopId;
 use ped_analysis::privatize::PrivStatus;
 use ped_analysis::symbolic::SymbolicEnv;
@@ -1264,27 +1265,20 @@ impl PedSession {
 /// (the analogue of the dependence builder's pair cutoff).
 const PREWARM_CUTOFF: usize = 256;
 
-/// Workers for `open`'s scalar prewarm: parallel only when the program
-/// and the machine are big enough. `threads == 0` sizes the pool to the
-/// probed core count (shared probe with the dependence builder); `1`
-/// stays serial. The result is by unit index either way.
+/// Workers for `open`'s scalar prewarm: [`fanout::workers`] over the
+/// units, except that an auto-sized prewarm of a small program stays
+/// serial. The result is by unit index either way.
 fn prewarm_workers(program: &Program, threads: usize) -> usize {
-    let n = program.units.len();
-    match threads {
-        0 => {
-            let cores = ped_dependence::probe_cores();
-            let mut stmts = 0usize;
-            for u in &program.units {
-                ped_fortran::ast::walk_stmts(&u.body, &mut |_| stmts += 1);
-            }
-            if n < 2 || cores == 1 || stmts < PREWARM_CUTOFF {
-                1
-            } else {
-                cores.min(8).min(n)
-            }
+    if threads == 0 {
+        let mut stmts = 0usize;
+        for u in &program.units {
+            ped_fortran::ast::walk_stmts(&u.body, &mut |_| stmts += 1);
         }
-        t => t.min(n.max(1)),
+        if stmts < PREWARM_CUTOFF {
+            return 1;
+        }
     }
+    fanout::workers(threads, program.units.len())
 }
 
 fn stmt_desc(program: &Program, stmt: StmtId) -> String {

@@ -30,9 +30,10 @@
 //!   between the serial and parallel builders.
 //! * **Parallel sharding.** Groups are independent (a dependence only
 //!   ever relates two references to the same variable), so they are
-//!   distributed over a `std::thread::scope` worker pool via an atomic
-//!   work index; each worker emits into a per-group buffer and the
-//!   coordinator concatenates buffers in group order, assigning ids.
+//!   mapped through [`ped_analysis::fanout::map_ordered`]; each group
+//!   emits into its own buffer and cache shard, and the coordinator
+//!   concatenates buffers and absorbs shards in group order, assigning
+//!   ids.
 //! * **Pair-test memoization.** With a [`PairCache`], each pair's test
 //!   result is keyed by content fingerprints of its endpoints and
 //!   enclosing loops; unchanged pairs skip classification and the test
@@ -46,6 +47,7 @@ use crate::canon::CanonStore;
 use crate::dir::{Dir, DirSet, DirVector};
 use crate::subscript::{NestCtx, SubPos};
 use crate::suite::{DepInfo, LoopCtx, TestKindCounts, TestResult};
+use ped_analysis::fanout::{self, map_ordered};
 use ped_analysis::loops::{LoopId, LoopNest};
 use ped_analysis::refs::{RefCause, RefId, RefTable, VarRef};
 use ped_analysis::symbolic::{LinExpr, SymbolicEnv};
@@ -56,8 +58,6 @@ use ped_fortran::pretty::print_expr;
 use ped_fortran::symbols::SymbolTable;
 use ped_fortran::NameId;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Identity of a dependence in a [`DependenceGraph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -453,20 +453,6 @@ pub const PAIR_CUTOFF: usize = 256;
 /// self-tuning cutoff.
 pub const CANON_CUTOFF: usize = 64;
 
-/// Machine core count, probed once per process.
-/// `available_parallelism` is a real syscall (tens of µs under some
-/// sandboxes) and the core count never changes mid-process, so the
-/// result is cached in a `OnceLock`. Shared by the graph builder's
-/// worker sizing and the session's open-time analysis prewarm.
-pub fn probe_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 impl<'a> Builder<'a> {
     fn run(&self, g: &mut DependenceGraph, mut cache: Option<&mut PairCache>) {
         // Map statement -> enclosing loop chain (outermost first).
@@ -523,94 +509,45 @@ impl<'a> Builder<'a> {
         });
         let canon = canon.as_ref();
 
-        let mut kinds = TestKindCounts::default();
-        let buffers: Vec<Vec<Dependence>> = if threads <= 1 {
+        // One cache shard per group: shards only stage fresh results
+        // (lookups read the pre-build snapshot), so absorbing them in
+        // group order gives the same cache and counts for any schedule.
+        let read = cache.as_deref().map(|c| c.read());
+        let tested = map_ordered(groups.len(), threads, |i| {
             let mut shard = CacheShard::default();
-            let read = cache.as_deref().map(|c| c.read());
-            let out = groups
-                .iter()
-                .map(|(_, ids)| self.test_group(ids, &stmt_loops, canon, read, &mut shard))
-                .collect();
+            let out = self.test_group(&groups[i].1, &stmt_loops, canon, read, &mut shard);
+            (out, shard)
+        });
+
+        // Deterministic merge: group order is name order, in-group order
+        // is pair order — identical to the serial traversal.
+        let mut kinds = TestKindCounts::default();
+        for (buf, shard) in tested {
             kinds.add(&shard.kinds);
             if let Some(c) = cache.as_deref_mut() {
                 c.absorb(shard);
             }
-            out
-        } else {
-            let slots: Vec<Mutex<Vec<Dependence>>> =
-                groups.iter().map(|_| Mutex::new(Vec::new())).collect();
-            let next = AtomicUsize::new(0);
-            let read = cache.as_deref().map(|c| c.read());
-            let shards: Vec<CacheShard> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut shard = CacheShard::default();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= groups.len() {
-                                    break;
-                                }
-                                let out = self.test_group(
-                                    &groups[i].1,
-                                    &stmt_loops,
-                                    canon,
-                                    read,
-                                    &mut shard,
-                                );
-                                *slots[i].lock().unwrap() = out;
-                            }
-                            shard
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("dependence worker panicked"))
-                    .collect()
-            });
-            for shard in shards {
-                kinds.add(&shard.kinds);
-                if let Some(c) = cache.as_deref_mut() {
-                    c.absorb(shard);
-                }
-            }
-            slots.into_iter().map(|m| m.into_inner().unwrap()).collect()
-        };
-        g.test_kinds = kinds;
-
-        // Deterministic merge: group order is name order, in-group order
-        // is pair order — identical to the serial traversal.
-        for buf in buffers {
             for mut d in buf {
                 debug_assert_eq!(d.id, UNNUMBERED);
                 d.id = DepId(g.deps.len() as u32);
                 g.deps.push(d);
             }
         }
+        g.test_kinds = kinds;
 
         if self.opts.control_deps {
             self.add_control_deps(g, &stmt_loops);
         }
     }
 
-    /// Worker count: explicit from options, else sized to the machine —
-    /// and never more workers than groups, nor any pool at all when
-    /// serial is known to win (few pairs, or a single-core machine:
-    /// pool setup and buffer merging would dominate).
+    /// Worker count: [`fanout::workers`] over the groups, except that an
+    /// auto-sized build of few pairs stays serial (pool setup and buffer
+    /// merging would dominate the tests).
     fn effective_threads(&self, groups: usize, pairs: usize) -> usize {
-        let requested = match self.opts.threads {
-            0 => {
-                let cores = probe_cores();
-                if pairs < PAIR_CUTOFF || cores == 1 {
-                    1
-                } else {
-                    cores.min(8)
-                }
-            }
-            n => n,
-        };
-        requested.min(groups.max(1))
+        match self.opts.threads {
+            0 if pairs < PAIR_CUTOFF => 1,
+            t => fanout::workers(t, groups),
+        }
     }
 
     /// Test every pair of one variable's reference group, emitting into

@@ -37,7 +37,7 @@ pub mod summary;
 pub use cache::{PairCache, PairKey};
 pub use canon::CanonStore;
 pub use dir::{Dir, DirSet, DirVector};
-pub use graph::{probe_cores, BuildOptions, DepId, DepKind, Dependence, DependenceGraph};
+pub use graph::{BuildOptions, DepId, DepKind, Dependence, DependenceGraph};
 pub use marking::{Mark, MarkError, Marking};
 pub use suite::{DepInfo, LoopCtx, TestKindCounts, TestResult};
 pub use summary::DepSummary;

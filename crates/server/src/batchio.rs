@@ -69,7 +69,6 @@ pub fn batch_value(report: &BatchReport) -> Value {
         ("cache_hits", Value::int(st.cache_hits as i64)),
         ("cache_misses", Value::int(st.cache_misses as i64)),
         ("threads", Value::int(st.threads as i64)),
-        ("steals", Value::int(st.steals as i64)),
         ("body_fingerprint", Value::str(format!("{body_fp:016x}"))),
     ])
 }

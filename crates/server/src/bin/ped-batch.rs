@@ -7,9 +7,10 @@
 //!
 //! Runs the whole pipeline (parse → dependences → lint → parallelize)
 //! over every `.f`/`.for`/`.f77` file under the given paths — or over
-//! `--corpus N` deterministic synthetic programs — on a work-stealing
-//! thread pool, warmed by the on-disk cache at `--cache-dir` (default
-//! `.ped-cache/`; `--no-cache` disables persistence).
+//! `--corpus N` deterministic synthetic programs — on a pool of worker
+//! threads that each take the next program as they finish one, warmed
+//! by the on-disk cache at `--cache-dir` (default `.ped-cache/`;
+//! `--no-cache` disables persistence).
 //!
 //! The report body is byte-identical for any `--threads` value and for
 //! cold vs disk-warm runs; `stderr` carries the run statistics so the
@@ -46,8 +47,8 @@ fn eprint_stats(report: &BatchReport, cache: Option<&DiskCache>) {
         st.programs, st.units, st.findings, st.parallel_nests, st.serial_nests
     );
     eprintln!(
-        "ped-batch: {} thread(s), {} steal(s) ({} job(s) moved), cache {} hit(s) / {} miss(es)",
-        st.threads, st.steals, st.stolen_jobs, st.cache_hits, st.cache_misses
+        "ped-batch: {} thread(s), cache {} hit(s) / {} miss(es)",
+        st.threads, st.cache_hits, st.cache_misses
     );
     if let Some(c) = cache {
         let (bytes, files) = c.size_on_disk();

@@ -173,7 +173,7 @@ fn main() {
     let mut json = false;
     let mut deny_warnings = false;
     let mut dynamic = false;
-    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut threads = ped_analysis::fanout::workers(0, usize::MAX);
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -8,7 +8,7 @@
 //! dispatching, partial writes — happens on the loop thread with
 //! nonblocking I/O. Readiness reports are treated strictly as *hints*:
 //! every read and write tolerates `WouldBlock`, which makes the
-//! spurious-wakeup `scan` backend correct and the epoll/poll backends
+//! spurious-wakeup `scan` backend correct and the `poll` backend
 //! robust.
 //!
 //! Dispatch is inline: request handling is dominated by dependence
@@ -85,16 +85,7 @@ pub(crate) fn run_loop(
     manager: Arc<SessionManager>,
     shutdown: Arc<AtomicBool>,
 ) {
-    let mut poller = match Poller::new(cfg.backend) {
-        Ok(p) => p,
-        // A backend that cannot initialize (fd exhaustion, exotic
-        // platform) degrades to the pure-std scan backend rather than
-        // killing the loop.
-        Err(_) => match Poller::new(Backend::Scan) {
-            Ok(p) => p,
-            Err(_) => return,
-        },
-    };
+    let mut poller = Poller::new(cfg.backend);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut next_gen: u64 = 0;
@@ -224,10 +215,7 @@ fn adopt(
         });
         *next_gen += 1;
         let conn = Conn::new(stream, *next_gen, now);
-        if poller.register(&conn.stream, token, false).is_err() {
-            free.push(token);
-            continue;
-        }
+        poller.register(&conn.stream, token, false);
         wheel.schedule(token, *next_gen, now + cfg.conn_idle_ttl_ms);
         conns[token] = Some(conn);
     }
@@ -347,7 +335,8 @@ fn apply(
         Verdict::Keep => {
             if let Some(Some(conn)) = conns.get_mut(token) {
                 let want = conn.pending_out() > 0;
-                if want != conn.want_write && poller.update(&conn.stream, token, want).is_ok() {
+                if want != conn.want_write {
+                    poller.update(token, want);
                     conn.want_write = want;
                 }
             }
@@ -363,8 +352,8 @@ fn close_token(
     free: &mut Vec<usize>,
 ) {
     if let Some(slot) = conns.get_mut(token) {
-        if let Some(conn) = slot.take() {
-            let _ = poller.deregister(&conn.stream, token);
+        if slot.take().is_some() {
+            poller.deregister(token);
             free.push(token);
         }
     }

@@ -21,8 +21,8 @@
 //!   admission control and idle eviction;
 //! * [`snap`] — the wait-free published-pointer cell behind the
 //!   read path;
-//! * [`poller`] — readiness backends: raw-syscall epoll on Linux,
-//!   `poll(2)` on other unix, a portable timed scan anywhere;
+//! * [`poller`] — readiness backends: `poll(2)` on unix, a portable
+//!   timed scan anywhere;
 //! * [`conn`] — per-connection read/write buffers, request framing and
 //!   partial-write bookkeeping;
 //! * [`wheel`] — the coarse deadline wheel driving connection idle

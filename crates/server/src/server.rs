@@ -49,9 +49,8 @@ pub struct ServerConfig {
     /// How long shutdown waits for response buffers to flush before
     /// cutting stragglers off.
     pub drain_deadline: Duration,
-    /// Readiness backend; `None` = `PED_SERVE_BACKEND` env override,
-    /// else the platform default (epoll on Linux, poll on unix, scan
-    /// elsewhere).
+    /// Readiness backend; `None` = the platform default (poll on unix,
+    /// scan elsewhere).
     pub backend: Option<Backend>,
 }
 
@@ -70,18 +69,6 @@ impl Default for ServerConfig {
             conn_idle_ttl: Duration::from_secs(15 * 60),
             drain_deadline: Duration::from_secs(5),
             backend: None,
-        }
-    }
-}
-
-impl ServerConfig {
-    fn resolve_backend(&self) -> Backend {
-        if let Some(b) = self.backend {
-            return b;
-        }
-        match std::env::var("PED_SERVE_BACKEND") {
-            Ok(name) => Backend::from_name(&name),
-            Err(_) => Backend::auto(),
         }
     }
 }
@@ -142,7 +129,7 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         write_buf_cap: cfg.write_buf_cap.max(1),
         conn_idle_ttl_ms: cfg.conn_idle_ttl.as_millis().max(1) as u64,
         drain_deadline_ms: cfg.drain_deadline.as_millis() as u64,
-        backend: cfg.resolve_backend(),
+        backend: cfg.backend.unwrap_or_else(Backend::auto),
     };
     let nloops = cfg.workers.max(1);
     let mut injectors: Vec<Arc<Injector>> = Vec::with_capacity(nloops);

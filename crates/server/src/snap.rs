@@ -174,25 +174,36 @@ mod tests {
         let live = Arc::new(AtomicUsize::new(0));
         let cell = Arc::new(SnapCell::new(Tracked::new(0, &live)));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Readers and the writer start together, so stores overlap loads.
+        let start = Arc::new(std::sync::Barrier::new(READERS + 1));
         let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let mut last = 0usize;
                     let mut reads = 0usize;
-                    while !stop.load(Ordering::SeqCst) {
+                    loop {
+                        // Read `stop` first: the load after it has been
+                        // seen must observe the final store.
+                        let stopped = stop.load(Ordering::SeqCst);
                         let v = cell.load();
                         // Published values are monotone: a reader must
                         // never observe the counter going backwards.
                         assert!(v.value >= last, "torn or stale read");
                         last = v.value;
                         reads += 1;
+                        if stopped {
+                            assert_eq!(last, STORES, "final store not visible after stop");
+                            return reads;
+                        }
                     }
-                    reads
                 })
             })
             .collect();
+        start.wait();
         for i in 1..=STORES {
             cell.store(Tracked::new(i, &live));
         }
@@ -201,7 +212,7 @@ mod tests {
         for r in readers {
             total += r.join().expect("reader panicked");
         }
-        assert!(total > 0);
+        assert!(total >= READERS, "every reader loads at least once");
         assert_eq!(cell.load().value, STORES);
         drop(cell);
         assert_eq!(

@@ -27,7 +27,7 @@
 #                  loops/sec, DOALLs found/verified per workload (or $8)
 #   BENCH_9.json — ped-batch-bench, the corpus-scale batch driver: cold
 #                  vs disk-warm over a 500-unit synthetic corpus (gated
-#                  >= 5x), 1-vs-8-thread work-stealing scaling (gate
+#                  >= 5x), 1-vs-8-thread fan-out scaling (gate
 #                  adapts to the measured core count), cache size
 #                  accounting (or $9)
 set -e

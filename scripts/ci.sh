@@ -68,6 +68,9 @@ echo "ci: ped-par smoke passed"
 # byte-identical bodies to the cold run, warm runs must be answered
 # from disk, and vandalized cache entries must recompute and self-heal.
 ./target/release/ped-batch --smoke
+# The same gate on four workers: on a one-core host the default runs
+# one worker, which would leave the multi-worker fan-out unchecked.
+./target/release/ped-batch --smoke --threads 4
 echo "ci: ped-batch persistent-cache smoke passed"
 
 # Benchmark-artifact gate: every BENCH_*.json that EXPERIMENTS.md

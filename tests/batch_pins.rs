@@ -1,26 +1,29 @@
 //! Byte pins for the batch pipeline.
 //!
-//! `run_batch(..).render()` on one worker with no cache is the whole
-//! cold surface of `ped-batch`: per-unit dependence summaries, lint
-//! findings and the parallelization report. These FNV-1a fingerprints
-//! were recorded before the per-program analysis was shared between
-//! the dependence summaries, lint and `ped-par`, so any byte the
-//! refactor (or a later one) moves fails here, not only in the
-//! benchmark's pins.
+//! `run_batch(..).render()` with no cache is the whole cold surface of
+//! `ped-batch`: per-unit dependence summaries, lint findings and the
+//! parallelization report. These FNV-1a fingerprints were recorded on
+//! one worker before the per-program analysis was shared between the
+//! dependence summaries, lint and `ped-par`, so any byte the refactor
+//! (or a later one) moves fails here, not only in the benchmark's pins.
+//! Every pin is checked on one worker and on four: the bytes must not
+//! depend on the schedule.
 
-use ped_batch::{run_batch, BatchJob, BatchOptions};
+use ped_batch::{render_program, run_batch, BatchJob, BatchOptions, BatchReport};
 use ped_fortran::fingerprint::Fnv;
 
-fn render_fingerprint(jobs: &[BatchJob], verify: bool) -> u64 {
-    let report = run_batch(
+/// Worker counts every pin is checked at.
+const THREADS: [usize; 2] = [1, 4];
+
+fn run(jobs: &[BatchJob], verify: bool, threads: usize) -> BatchReport {
+    run_batch(
         jobs,
         &BatchOptions {
-            threads: 1,
+            threads,
             cache: None,
             verify,
         },
-    );
-    Fnv::new().str(&report.render()).done()
+    )
 }
 
 fn workshop_jobs() -> Vec<BatchJob> {
@@ -46,51 +49,61 @@ fn corpus_jobs(seed: u64) -> Vec<BatchJob> {
 }
 
 /// Fingerprints of one program's rendering each, so a drift names the
-/// program that moved.
-fn per_program(jobs: &[BatchJob], verify: bool) -> Vec<(String, u64)> {
-    jobs.iter()
-        .map(|j| {
-            (
-                j.name.clone(),
-                render_fingerprint(std::slice::from_ref(j), verify),
-            )
-        })
-        .collect()
-}
-
-fn check(what: &str, got: &[(String, u64)], want: &[(&str, u64)]) {
-    let got_v: Vec<(&str, u64)> = got.iter().map(|(n, f)| (n.as_str(), *f)).collect();
-    assert_eq!(got_v, want, "{what}: rendered batch bytes moved");
+/// program that moved. A one-job batch renders exactly
+/// `render_program` of its one result.
+fn check_per_program(what: &str, jobs: &[BatchJob], verify: bool, want: &[(&str, u64)]) {
+    for threads in THREADS {
+        let report = run(jobs, verify, threads);
+        let got: Vec<(&str, u64)> = report
+            .results
+            .iter()
+            .map(|r| {
+                let fp = Fnv::new().str(&render_program(&r.summary)).done();
+                (r.summary.name.as_str(), fp)
+            })
+            .collect();
+        assert_eq!(
+            got, want,
+            "{what}, threads={threads}: rendered batch bytes moved"
+        );
+    }
 }
 
 #[test]
 fn workshop_programs_static_render_is_pinned() {
-    check(
+    check_per_program(
         "workshop, verify off",
-        &per_program(&workshop_jobs(), false),
+        &workshop_jobs(),
+        false,
         &WORKSHOP_STATIC,
     );
 }
 
 #[test]
 fn workshop_programs_verified_render_is_pinned() {
-    check(
+    check_per_program(
         "workshop, verify on",
-        &per_program(&workshop_jobs(), true),
+        &workshop_jobs(),
+        true,
         &WORKSHOP_VERIFIED,
     );
 }
 
 #[test]
 fn synth_corpus_renders_are_pinned() {
-    let got: Vec<(u64, u64)> = [5u64, 42]
-        .iter()
-        .map(|&seed| (seed, render_fingerprint(&corpus_jobs(seed), false)))
-        .collect();
-    assert_eq!(
-        got, CORPUS,
-        "synth_corpus(seed, 16): rendered batch bytes moved"
-    );
+    for threads in THREADS {
+        let got: Vec<(u64, u64)> = [5u64, 42]
+            .iter()
+            .map(|&seed| {
+                let body = run(&corpus_jobs(seed), false, threads).render();
+                (seed, Fnv::new().str(&body).done())
+            })
+            .collect();
+        assert_eq!(
+            got, CORPUS,
+            "synth_corpus(seed, 16), threads={threads}: rendered batch bytes moved"
+        );
+    }
 }
 
 // Recorded before the shared per-program analysis landed.
