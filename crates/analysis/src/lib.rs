@@ -16,6 +16,7 @@ pub mod cfg;
 pub mod constprop;
 pub mod control_dep;
 pub mod defuse;
+pub mod doall;
 pub mod dom;
 pub mod facts;
 pub mod fanout;

@@ -1,9 +1,8 @@
-//! `ped-batch-bench` — the corpus-scale batch driver and its persistent
-//! cache, written as `BENCH_9.json`.
+//! BENCH_9: the corpus-scale batch driver and its persistent cache.
 //!
 //! Corpus: `synth_corpus(seed=42)`, 125 programs × 4 units = 500 units,
 //! deterministic across processes and machines. Regimes (median of
-//! `--iters`, paired on the same corpus):
+//! 3 iterations, paired on the same corpus):
 //!
 //! * **cold** — empty cache dir: full pipeline (parse → dependences →
 //!   lint → parallelize) for every program, write-through to disk;
@@ -19,40 +18,28 @@
 //!
 //! The JSON also accounts for the cache itself: files, bytes, and
 //! bytes per analyzed unit.
-//!
-//! Usage: `ped-batch-bench [OUTPUT.json] [--iters N] [--programs N]`
 
+use crate::harness::{median, num, obj, write_report};
 use ped::persist::DiskCache;
 use ped_batch::{run_batch, BatchJob, BatchOptions};
+use ped_server::json::Value;
 use std::time::Instant;
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
+/// Corpus size in programs.
+const PROGRAMS: usize = 125;
+/// Iterations per regime; each reports its median.
+const ITERS: usize = 3;
 
-fn main() {
-    let mut out_path = "BENCH_9.json".to_string();
-    let mut iters = 3usize;
-    let mut programs = 125usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" => iters = args.next().and_then(|v| v.parse().ok()).unwrap_or(3),
-            "--programs" => programs = args.next().and_then(|v| v.parse().ok()).unwrap_or(125),
-            other => out_path = other.to_string(),
-        }
-    }
-    let iters = iters.max(1);
-
+/// BENCH_9: cold vs disk-warm batch runs and 1-vs-8-thread scaling.
+pub fn bench9(out: &str) {
     let params = ped_workloads::CorpusParams::default();
-    let jobs: Vec<BatchJob> = ped_workloads::synth_corpus(42, programs, &params)
+    let jobs: Vec<BatchJob> = ped_workloads::synth_corpus(42, PROGRAMS, &params)
         .into_iter()
         .map(|(name, source)| BatchJob { name, source })
         .collect();
-    let dir = std::env::temp_dir().join(format!("ped-batch-bench-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("ped-bench-9-{}", std::process::id()));
     println!(
-        "ped-batch-bench: {} programs ({} units target), median of {iters} iters\n",
+        "ped-bench 9: {} programs ({} units target), median of {ITERS} iters\n",
         jobs.len(),
         jobs.len() * params.units_per_program
     );
@@ -64,7 +51,7 @@ fn main() {
     let mut cold_body = String::new();
     let mut cache_bytes = 0u64;
     let mut cache_files = 0u64;
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = DiskCache::open(&dir).expect("open cache dir");
         let t = Instant::now();
@@ -117,7 +104,7 @@ fn main() {
     let mut t1_times = Vec::new();
     let mut t8_times = Vec::new();
     let mut body1 = String::new();
-    for _ in 0..iters {
+    for _ in 0..ITERS {
         let t = Instant::now();
         let r1 = run_batch(
             &jobs,
@@ -147,10 +134,10 @@ fn main() {
     }
     assert_eq!(body1, cold_body, "uncached body must match cached cold");
 
-    let cold_s = median(&mut cold_times);
-    let warm_s = median(&mut warm_times);
-    let t1_s = median(&mut t1_times);
-    let t8_s = median(&mut t8_times);
+    let cold_s = median(&cold_times);
+    let warm_s = median(&warm_times);
+    let t1_s = median(&t1_times);
+    let t8_s = median(&t8_times);
     let warm_speedup = cold_s / warm_s.max(1e-9);
     let scaling = t1_s / t8_s.max(1e-9);
     let cores = ped_analysis::fanout::probe_cores();
@@ -189,29 +176,53 @@ fn main() {
         "thread-scaling gate on {cores} core(s): {scaling:.2}x < {scaling_req}x"
     );
     assert_eq!(units, jobs.len() * params.units_per_program);
-    if programs >= 125 {
-        assert!(units >= 500, "corpus must hold >= 500 units, got {units}");
-    }
+    assert!(units >= 500, "corpus must hold >= 500 units, got {units}");
 
-    let json = format!(
-        "{{\n  \"generated_by\": \"ped-batch-bench\",\n  \"corpus\": {{\n    \"seed\": 42,\n    \"programs\": {},\n    \"units\": {},\n    \"findings\": {}\n  }},\n  \"median_secs\": {{\n    \"cold\": {:.6},\n    \"disk_warm\": {:.6},\n    \"uncached_1_thread\": {:.6},\n    \"uncached_8_threads\": {:.6}\n  }},\n  \"warm_speedup\": {:.2},\n  \"thread_scaling_1_to_8\": {:.3},\n  \"cores\": {},\n  \"gates\": {{\n    \"warm_speedup_min\": 5.0,\n    \"thread_scaling_min\": {},\n    \"byte_identity\": \"cold == disk-warm == uncached == 8-thread\"\n  }},\n  \"cache\": {{\n    \"files\": {},\n    \"bytes\": {},\n    \"bytes_per_unit\": {:.1}\n  }},\n  \"iters\": {}\n}}\n",
-        jobs.len(),
-        units,
-        findings,
-        cold_s,
-        warm_s,
-        t1_s,
-        t8_s,
-        warm_speedup,
-        scaling,
-        cores,
-        scaling_req,
-        cache_files,
-        cache_bytes,
-        cache_bytes as f64 / units.max(1) as f64,
-        iters
-    );
-    std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!("wrote {out_path}");
+    let bytes_per_unit = cache_bytes as f64 / units.max(1) as f64;
+    let report = obj([
+        ("generated_by", Value::str("ped-bench 9")),
+        (
+            "corpus",
+            obj([
+                ("seed", Value::int(42)),
+                ("programs", Value::int(jobs.len() as i64)),
+                ("units", Value::int(units as i64)),
+                ("findings", Value::int(findings as i64)),
+            ]),
+        ),
+        (
+            "median_secs",
+            obj([
+                ("cold", num(cold_s, 6)),
+                ("disk_warm", num(warm_s, 6)),
+                ("uncached_1_thread", num(t1_s, 6)),
+                ("uncached_8_threads", num(t8_s, 6)),
+            ]),
+        ),
+        ("warm_speedup", num(warm_speedup, 2)),
+        ("thread_scaling_1_to_8", num(scaling, 3)),
+        ("cores", Value::int(cores as i64)),
+        (
+            "gates",
+            obj([
+                ("warm_speedup_min", Value::Num(5.0)),
+                ("thread_scaling_min", Value::Num(scaling_req)),
+                (
+                    "byte_identity",
+                    Value::str("cold == disk-warm == uncached == 8-thread"),
+                ),
+            ]),
+        ),
+        (
+            "cache",
+            obj([
+                ("files", Value::int(cache_files as i64)),
+                ("bytes", Value::int(cache_bytes as i64)),
+                ("bytes_per_unit", num(bytes_per_unit, 1)),
+            ]),
+        ),
+        ("iters", Value::int(ITERS as i64)),
+    ]);
+    write_report(out, &report);
     let _ = std::fs::remove_dir_all(&dir);
 }

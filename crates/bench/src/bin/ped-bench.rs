@@ -1,807 +1,51 @@
-//! `ped-bench` — end-to-end timings of the interactive hot paths over
-//! the eight workshop programs, written as `BENCH_1.json`.
+//! `ped-bench` — every benchmark suite behind one binary.
 //!
-//! Phases per program:
-//! * `open`                — `PedSession::open` (parse is excluded;
-//!                           interprocedural analysis + first build);
-//! * `reanalyze-hot`       — `reanalyze()` with nothing changed: the
-//!                           whole-analysis fingerprint hits;
-//! * `reanalyze-warmpairs` — forced rebuild with the pair-test memo
-//!                           hot (the post-edit steady state);
-//! * `reanalyze-coldcache` — forced rebuild with an empty pair cache
-//!                           (what every `reanalyze()` cost before the
-//!                           incremental engine);
-//! * `build-serial` / `build-parallel` — raw dependence-graph
-//!                           construction over every unit at one worker
-//!                           vs. auto workers.
+//! ```text
+//! ped-bench N [OUT.json]   run suite N (1..9), write BENCH_N.json or OUT
+//! ped-bench micro          per-layer micro-benchmarks, printed only
+//! ped-bench --smoke        the CI correctness gates, no timing asserts
+//! ```
 //!
-//! A second output, `BENCH_4.json`, breaks the dependence-test suite
-//! down by tester kind: raw graph construction with the per-reference
-//! canonicalization engine on (`build-fast-*`) vs. forced per-pair
-//! classification (`build-general-*`, the `--no-fast-path` oracle
-//! mode), cold and warm against the pair memo, with per-kind hit
-//! counts and a per-workload serial-vs-parallel sanity ratio.
-//!
-//! A third output, `BENCH_5.json`, measures the scalar-facts store:
-//! cold `open` with serial vs. auto (parallel-capable) prewarm, forced
-//! rebuilds with the facts memo warm vs. dropped, the single-unit-edit
-//! hit-rate check (every unedited unit must be served from the memo),
-//! and a String-vs-`NameId` map-lookup micro-benchmark.
-//!
-//! Usage: `ped-bench [OUTPUT.json [OUTPUT4.json [OUTPUT5.json]]]`
-//! (defaults `BENCH_1.json` / `BENCH_4.json` / `BENCH_5.json`), or
-//! `ped-bench --smoke` to run the fast-vs-general byte-identity check
-//! and the scalar-store zero-rebuild gate only (no timing assertions).
+//! Suites: 1 interactive hot paths, 2 server load, 3 lint regimes,
+//! 4 dependence tester kinds, 5 scalar-facts store, 6 event loop and
+//! snapshot reads, 7 bytecode VM, 8 auto-parallelizer, 9 batch driver.
+//! `--smoke` checks the dependence fast path against the general tester
+//! plus the scalar store, the 8-client server against its oracle, and
+//! VM vs tree-walk byte identity.
 
-use ped::session::PedSession;
-use ped_analysis::loops::LoopNest;
-use ped_analysis::refs::RefTable;
-use ped_analysis::symbolic::SymbolicEnv;
-use ped_bench::harness::{bench_with, black_box, Stats};
-use ped_dependence::cache::PairCache;
-use ped_dependence::graph::{BuildOptions, DependenceGraph};
-use ped_dependence::TestKindCounts;
-use ped_fortran::parser::parse_ok;
-use ped_fortran::symbols::SymbolTable;
-use ped_fortran::NameId;
-use ped_workloads::synthetic_source;
-use std::collections::HashMap;
+use ped_bench::{batch, dep, lint, micro, par, serve, vm};
 
-fn build_opts(fast_paths: bool, threads: usize) -> BuildOptions {
-    BuildOptions {
-        fast_paths,
-        threads,
-        ..Default::default()
-    }
-}
-
-fn build_all_units_opts(prog: &ped_fortran::Program, opts: &BuildOptions) -> usize {
-    let mut total = 0;
-    for unit in &prog.units {
-        let sym = SymbolTable::build(unit);
-        let refs = RefTable::build(unit, &sym);
-        let nest = LoopNest::build(unit);
-        total += DependenceGraph::build(unit, &sym, &refs, &nest, &SymbolicEnv::new(), opts).len();
-    }
-    total
-}
-
-fn build_all_units(prog: &ped_fortran::Program, threads: usize) -> usize {
-    build_all_units_opts(prog, &build_opts(true, threads))
-}
-
-/// Per-kind tester tallies of one cold fast-path pass over every unit.
-fn count_kinds(prog: &ped_fortran::Program) -> TestKindCounts {
-    let mut kinds = TestKindCounts::default();
-    let opts = build_opts(true, 1);
-    for unit in &prog.units {
-        let sym = SymbolTable::build(unit);
-        let refs = RefTable::build(unit, &sym);
-        let nest = LoopNest::build(unit);
-        let g = DependenceGraph::build(unit, &sym, &refs, &nest, &SymbolicEnv::new(), &opts);
-        kinds.add(&g.test_kinds);
-    }
-    kinds
-}
-
-/// Rebuild every unit against per-unit pair memos (the session steady
-/// state); `caches` must have one entry per unit.
-fn build_all_units_cached(prog: &ped_fortran::Program, caches: &mut [PairCache]) -> usize {
-    let mut total = 0;
-    let opts = build_opts(true, 1);
-    for (unit, cache) in prog.units.iter().zip(caches.iter_mut()) {
-        let sym = SymbolTable::build(unit);
-        let refs = RefTable::build(unit, &sym);
-        let nest = LoopNest::build(unit);
-        total += DependenceGraph::build_with(
-            unit,
-            &sym,
-            &refs,
-            &nest,
-            &SymbolicEnv::new(),
-            &opts,
-            Some(cache),
-        )
-        .len();
-    }
-    total
-}
-
-/// The BENCH_4 program set: the eight workshop programs + the synthetic
-/// stress unit.
-fn bench4_programs() -> Vec<(String, ped_fortran::Program)> {
-    let mut v: Vec<(String, ped_fortran::Program)> = ped_workloads::all_programs()
-        .into_iter()
-        .map(|p| (p.name.to_string(), parse_ok(p.source)))
-        .collect();
-    v.push(("synth60".into(), parse_ok(&synthetic_source(60))));
-    v
-}
-
-/// `--smoke`: assert the canonicalization engine renders byte-identical
-/// graphs to the general per-pair tester on every program, serial and
-/// parallel. No timings — suitable as a CI gate.
-fn smoke() {
-    let mut units = 0usize;
-    for (name, prog) in bench4_programs() {
-        for unit in &prog.units {
-            let sym = SymbolTable::build(unit);
-            let refs = RefTable::build(unit, &sym);
-            let nest = LoopNest::build(unit);
-            let env = SymbolicEnv::new();
-            let general =
-                DependenceGraph::build(unit, &sym, &refs, &nest, &env, &build_opts(false, 1))
-                    .canonical_text();
-            for threads in [1usize, 8] {
-                let fast = DependenceGraph::build(
-                    unit,
-                    &sym,
-                    &refs,
-                    &nest,
-                    &env,
-                    &build_opts(true, threads),
-                )
-                .canonical_text();
-                assert_eq!(
-                    fast, general,
-                    "{name}/{}: fast-path graph (threads={threads}) diverged",
-                    unit.name
-                );
-            }
-            units += 1;
-        }
-    }
-    println!("ped-bench --smoke: fast path == general tester on {units} units");
-
-    // Scalar-store gate: a forced rebuild of unchanged content must be
-    // served entirely from the facts memo — zero new scalar misses, one
-    // hit per unit.
-    let mut programs = 0usize;
-    for (name, prog) in bench4_programs() {
-        let n = prog.units.len() as u64;
-        let mut s = PedSession::open(prog);
-        let before = s.stats();
-        s.cache.invalidate();
-        s.reanalyze();
-        let after = s.stats();
-        assert_eq!(
-            after.scalar_misses, before.scalar_misses,
-            "{name}: forced no-op reanalyze rebuilt scalar facts"
-        );
-        assert_eq!(
-            after.scalar_hits - before.scalar_hits,
-            n,
-            "{name}: forced no-op reanalyze must hit once per unit"
-        );
-        programs += 1;
-    }
-    println!(
-        "ped-bench --smoke: scalar store served {programs} forced reanalyzes with zero rebuilds"
-    );
-}
+const USAGE: &str = "usage: ped-bench <1..9> [OUT.json] | ped-bench micro | ped-bench --smoke";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    let out_path = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "BENCH_1.json".into());
-    let out4_path = args
+    let suite = args.first().map(String::as_str).unwrap_or_default();
+    let out = args
         .get(1)
         .cloned()
-        .unwrap_or_else(|| "BENCH_4.json".into());
-    let out5_path = args
-        .get(2)
-        .cloned()
-        .unwrap_or_else(|| "BENCH_5.json".into());
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("ped-bench: {cores} core(s) available\n");
-
-    let mut phases: Vec<Stats> = Vec::new();
-    let mut largest: Option<(&str, usize)> = None;
-    // Per-program means needed for the summary ratios.
-    let mut hot_means = std::collections::HashMap::new();
-    let mut cold_means = std::collections::HashMap::new();
-    let mut warm_means = std::collections::HashMap::new();
-    let mut serial_means = std::collections::HashMap::new();
-    let mut parallel_means = std::collections::HashMap::new();
-
-    for p in ped_workloads::all_programs() {
-        if largest.map(|(_, n)| p.source.len() > n).unwrap_or(true) {
-            largest = Some((p.name, p.source.len()));
+        .unwrap_or_else(|| format!("BENCH_{suite}.json"));
+    let run: fn(&str) = match suite {
+        "--smoke" => {
+            dep::smoke();
+            serve::smoke();
+            vm::smoke();
+            println!("ped-bench --smoke: all gates passed");
+            return;
         }
-        let prog = parse_ok(p.source);
-
-        let s = bench_with(&format!("open:{}", p.name), 150, 64, &mut || {
-            black_box(PedSession::open(prog.clone()));
-        });
-        phases.push(s);
-
-        let mut session = PedSession::open(prog.clone());
-        let s = bench_with(&format!("reanalyze-hot:{}", p.name), 150, 512, &mut || {
-            session.reanalyze();
-        });
-        hot_means.insert(p.name, s.mean_us);
-        phases.push(s);
-
-        let s = bench_with(
-            &format!("reanalyze-warmpairs:{}", p.name),
-            150,
-            256,
-            &mut || {
-                session.cache.invalidate();
-                session.reanalyze();
-            },
-        );
-        warm_means.insert(p.name, s.mean_us);
-        phases.push(s);
-
-        let s = bench_with(
-            &format!("reanalyze-coldcache:{}", p.name),
-            150,
-            256,
-            &mut || {
-                session.cache.invalidate();
-                session.cache.reset_pairs();
-                session.reanalyze();
-            },
-        );
-        cold_means.insert(p.name, s.mean_us);
-        phases.push(s);
-
-        let s = bench_with(&format!("build-serial:{}", p.name), 150, 256, &mut || {
-            black_box(build_all_units(&prog, 1));
-        });
-        serial_means.insert(p.name, s.mean_us);
-        phases.push(s);
-
-        let s = bench_with(&format!("build-parallel:{}", p.name), 150, 256, &mut || {
-            black_box(build_all_units(&prog, 0));
-        });
-        parallel_means.insert(p.name, s.mean_us);
-        phases.push(s);
-        println!();
-    }
-
-    // Synthetic large-unit phases (excluded from `largest_workload`,
-    // which names a workshop program).
-    let synth = parse_ok(&synthetic_source(60));
-    let mut session = PedSession::open(synth.clone());
-    let s = bench_with("reanalyze-warmpairs:synth60", 400, 64, &mut || {
-        session.cache.invalidate();
-        session.reanalyze();
-    });
-    let synth_warm = s.mean_us;
-    phases.push(s);
-    let s = bench_with("reanalyze-coldcache:synth60", 400, 64, &mut || {
-        session.cache.invalidate();
-        session.cache.reset_pairs();
-        session.reanalyze();
-    });
-    let synth_cold = s.mean_us;
-    phases.push(s);
-    let s = bench_with("build-serial:synth60", 400, 64, &mut || {
-        black_box(build_all_units(&synth, 1));
-    });
-    let synth_serial = s.mean_us;
-    phases.push(s);
-    let s = bench_with("build-parallel:synth60", 400, 64, &mut || {
-        black_box(build_all_units(&synth, 0));
-    });
-    let synth_parallel = s.mean_us;
-    phases.push(s);
-    println!();
-
-    let (big, _) = largest.expect("no workloads");
-    let reanalyze_speedup = cold_means[big] / hot_means[big].max(1e-9);
-    let pair_cache_speedup = cold_means[big] / warm_means[big].max(1e-9);
-    let synth_pair_speedup = synth_cold / synth_warm.max(1e-9);
-    let synth_parallel_speedup = synth_serial / synth_parallel.max(1e-9);
-    // Parallel-build win over *all* programs (single units are small;
-    // the aggregate is the realistic figure).
-    let serial_total: f64 = serial_means.values().sum();
-    let parallel_total: f64 = parallel_means.values().sum();
-    let parallel_speedup = serial_total / parallel_total.max(1e-9);
-
-    println!("largest workload             : {big}");
-    println!("reanalyze cached vs cold     : {reanalyze_speedup:.1}x");
-    println!("rebuild warm vs cold pairs   : {pair_cache_speedup:.2}x");
-    println!("  ... on the synthetic unit  : {synth_pair_speedup:.2}x");
-    println!("parallel vs serial build     : {parallel_speedup:.2}x ({cores} core(s))");
-    println!("  ... on the synthetic unit  : {synth_parallel_speedup:.2}x");
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"generated_by\": \"ped-bench\",\n");
-    json.push_str(&format!("  \"available_parallelism\": {cores},\n"));
-    json.push_str(&format!("  \"largest_workload\": \"{big}\",\n"));
-    json.push_str("  \"summary\": {\n");
-    json.push_str(&format!(
-        "    \"reanalyze_speedup_cached_vs_cold\": {reanalyze_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"rebuild_speedup_warm_vs_cold_pairs\": {pair_cache_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"rebuild_speedup_warm_vs_cold_pairs_synth\": {synth_pair_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"parallel_build_speedup\": {parallel_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"parallel_build_speedup_synth\": {synth_parallel_speedup:.2}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"phases\": [\n");
-    for (i, s) in phases.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(&s.to_json());
-        json.push_str(if i + 1 < phases.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write BENCH_1.json");
-    println!("\nwrote {out_path}");
-
-    bench4(&out4_path, cores);
-    bench5(&out5_path, cores);
-}
-
-/// Test-kind breakdown (BENCH_4): per program, cold builds with the
-/// canonicalization engine on vs. off, a warm build against the pair
-/// memo, the per-kind tester tallies, and a serial-vs-parallel floor
-/// assertion (`threads: 0` must never lose to `threads: 1` by more than
-/// measurement noise — compared on medians of paired interleaved runs).
-fn bench4(out_path: &str, cores: usize) {
-    println!("\n== test-kind breakdown (BENCH_4) ==\n");
-    struct Row {
-        name: String,
-        fast_cold: Stats,
-        general_cold: Stats,
-        fast_warm: Stats,
-        par_ratio: f64,
-        kinds: TestKindCounts,
-    }
-    let mut phases: Vec<Stats> = Vec::new();
-    let mut rows: Vec<Row> = Vec::new();
-    for (name, prog) in bench4_programs() {
-        let (budget, iters) = if name == "synth60" {
-            (400, 64)
-        } else {
-            (150, 256)
-        };
-        let fast_cold = bench_with(
-            &format!("build-fast-cold:{name}"),
-            budget,
-            iters,
-            &mut || {
-                black_box(build_all_units_opts(&prog, &build_opts(true, 1)));
-            },
-        );
-        let general_cold = bench_with(
-            &format!("build-general-cold:{name}"),
-            budget,
-            iters,
-            &mut || {
-                black_box(build_all_units_opts(&prog, &build_opts(false, 1)));
-            },
-        );
-        let mut caches: Vec<PairCache> = prog.units.iter().map(|_| PairCache::new()).collect();
-        build_all_units_cached(&prog, &mut caches); // cold fill
-        let fast_warm = bench_with(
-            &format!("build-fast-warm:{name}"),
-            budget,
-            iters,
-            &mut || {
-                black_box(build_all_units_cached(&prog, &mut caches));
-            },
-        );
-        let serial = bench_with(&format!("build-serial:{name}"), budget, iters, &mut || {
-            black_box(build_all_units(&prog, 1));
-        });
-        let parallel = bench_with(
-            &format!("build-parallel:{name}"),
-            budget,
-            iters,
-            &mut || {
-                black_box(build_all_units(&prog, 0));
-            },
-        );
-        // Paired interleaved timing for the floor assertion: the median
-        // of per-pair ratios is immune to the drift and scheduler
-        // outliers that make independent-run minima flake (see BENCH_5).
-        let pairs = if name == "synth60" { 32 } else { 96 };
-        let mut ratios = Vec::with_capacity(pairs);
-        for k in 0..pairs {
-            // Alternate which variant goes first: the second run of a
-            // pair sees different allocator state, and that position
-            // bias is systematic — alternation cancels it.
-            let (first, second) = if k % 2 == 0 { (1, 0) } else { (0, 1) };
-            let t = std::time::Instant::now();
-            black_box(build_all_units(&prog, first));
-            let a = t.elapsed().as_secs_f64() * 1e6;
-            let t = std::time::Instant::now();
-            black_box(build_all_units(&prog, second));
-            let b = t.elapsed().as_secs_f64() * 1e6;
-            let (serial_us, parallel_us) = if k % 2 == 0 { (a, b) } else { (b, a) };
-            ratios.push(serial_us / parallel_us.max(1e-9));
+        "micro" => return micro::run(),
+        "1" => dep::bench1,
+        "2" => serve::bench2,
+        "3" => lint::bench3,
+        "4" => dep::bench4,
+        "5" => dep::bench5,
+        "6" => serve::bench6,
+        "7" => vm::bench7,
+        "8" => par::bench8,
+        "9" => batch::bench9,
+        _ => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
         }
-        ratios.sort_by(|a, b| a.total_cmp(b));
-        let par_ratio = ratios[pairs / 2];
-        let kinds = count_kinds(&prog);
-        phases.extend([
-            fast_cold.clone(),
-            general_cold.clone(),
-            fast_warm.clone(),
-            serial,
-            parallel,
-        ]);
-        rows.push(Row {
-            name,
-            fast_cold,
-            general_cold,
-            fast_warm,
-            par_ratio,
-            kinds,
-        });
-        println!();
-    }
-
-    println!(
-        "{:<10} {:>10} {:>10} {:>14}",
-        "workload", "fast-path", "warm", "par/serial(med)"
-    );
-    let mut min_parallel_ratio = f64::INFINITY;
-    for r in &rows {
-        let fast_speedup = r.general_cold.mean_us / r.fast_cold.mean_us.max(1e-9);
-        let warm_speedup = r.general_cold.mean_us / r.fast_warm.mean_us.max(1e-9);
-        // Median of per-pair ratios: the adaptive builder must never
-        // *spawn its way slower* — noise-floor comparison, satellite (a).
-        let par_ratio = r.par_ratio;
-        min_parallel_ratio = min_parallel_ratio.min(par_ratio);
-        println!(
-            "{:<10} {:>9.2}x {:>9.2}x {:>13.2}x",
-            r.name, fast_speedup, warm_speedup, par_ratio
-        );
-        assert!(
-            par_ratio >= 0.98,
-            "{}: adaptive parallel build regressed vs serial ({:.3}x on paired medians)",
-            r.name,
-            par_ratio
-        );
-    }
-
-    let speedup_of = |name: &str| {
-        rows.iter()
-            .find(|r| r.name == name)
-            .map(|r| r.general_cold.mean_us / r.fast_cold.mean_us.max(1e-9))
-            .unwrap_or(0.0)
     };
-    let synth_speedup = speedup_of("synth60");
-    let dpmin_speedup = speedup_of("dpmin");
-    println!(
-        "\nfast-path cold-build speedup  synth60 {synth_speedup:.2}x   dpmin {dpmin_speedup:.2}x"
-    );
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"generated_by\": \"ped-bench\",\n");
-    json.push_str(&format!("  \"available_parallelism\": {cores},\n"));
-    json.push_str("  \"summary\": {\n");
-    json.push_str(&format!(
-        "    \"fast_path_speedup_synth60\": {synth_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"fast_path_speedup_dpmin\": {dpmin_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"min_parallel_vs_serial_ratio\": {min_parallel_ratio:.2}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        json.push_str(&format!(
-            "      \"fast_cold_us\": {:.3},\n      \"general_cold_us\": {:.3},\n      \"fast_warm_us\": {:.3},\n",
-            r.fast_cold.mean_us, r.general_cold.mean_us, r.fast_warm.mean_us
-        ));
-        json.push_str(&format!(
-            "      \"fast_path_speedup\": {:.2},\n",
-            r.general_cold.mean_us / r.fast_cold.mean_us.max(1e-9)
-        ));
-        json.push_str(&format!(
-            "      \"parallel_vs_serial_ratio\": {:.2},\n",
-            r.par_ratio
-        ));
-        json.push_str("      \"test_kinds\": {");
-        let kind_rows = r.kinds.rows();
-        for (j, (label, n)) in kind_rows.iter().enumerate() {
-            json.push_str(&format!("\"{label}\": {n}"));
-            if j + 1 < kind_rows.len() {
-                json.push_str(", ");
-            }
-        }
-        json.push_str("}\n");
-        json.push_str(if i + 1 < rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"phases\": [\n");
-    for (i, s) in phases.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(&s.to_json());
-        json.push_str(if i + 1 < phases.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, json).expect("write BENCH_4.json");
-    println!("wrote {out_path}");
-}
-
-/// Scalar-facts store (BENCH_5): per workload, cold `open` with the
-/// prewarm serial vs. auto (the auto path must never spawn its way
-/// slower — compared on per-iteration minima, like BENCH_4's builder
-/// ratio); forced rebuilds with the facts memo warm vs. dropped; the
-/// single-unit-edit hit-rate check (an edit rebuilds exactly one unit's
-/// facts, every other unit is served from the memo); and a
-/// String-vs-`NameId` map-lookup micro-benchmark over the synthetic
-/// unit's reference table.
-fn bench5(out_path: &str, cores: usize) {
-    println!("\n== scalar-facts store (BENCH_5) ==\n");
-    struct Row {
-        name: String,
-        units: usize,
-        open_serial: Stats,
-        open_auto: Stats,
-        open_ratio: f64,
-        facts_warm: Stats,
-        facts_cold: Stats,
-        edit_misses: u64,
-        edit_hits: u64,
-    }
-    let mut phases: Vec<Stats> = Vec::new();
-    let mut rows: Vec<Row> = Vec::new();
-    for (name, prog) in bench4_programs() {
-        let (budget, iters) = if name == "synth60" {
-            (400, 16)
-        } else {
-            (150, 64)
-        };
-
-        let open_serial = bench_with(&format!("open-serial:{name}"), budget, iters, &mut || {
-            black_box(PedSession::open_with(prog.clone(), 1));
-        });
-        let open_auto = bench_with(&format!("open-auto:{name}"), budget, iters, &mut || {
-            black_box(PedSession::open_with(prog.clone(), 0));
-        });
-
-        let mut session = PedSession::open(prog.clone());
-        let facts_warm = bench_with(
-            &format!("rebuild-warmfacts:{name}"),
-            budget,
-            iters,
-            &mut || {
-                session.cache.invalidate();
-                session.reanalyze();
-            },
-        );
-        let facts_cold = bench_with(
-            &format!("rebuild-coldfacts:{name}"),
-            budget,
-            iters,
-            &mut || {
-                session.cache.invalidate();
-                session.cache.drop_scalar();
-                session.reanalyze();
-            },
-        );
-
-        // Single-unit-edit hit rate, on a fresh session so the counter
-        // deltas are exactly one edit's worth: the edited unit misses
-        // once, every other unit hits.
-        let units = prog.units.len();
-        let mut s = PedSession::open(prog.clone());
-        // Edit the first assignment statement anywhere in the program
-        // (some mains are pure CALL drivers), selecting its unit first.
-        let mut target = None;
-        for (ui, u) in s.program.units.iter().enumerate() {
-            ped_fortran::ast::walk_stmts(&u.body, &mut |st| {
-                if target.is_none() && matches!(st.kind, ped_fortran::ast::StmtKind::Assign { .. })
-                {
-                    target = Some((ui, st.id));
-                }
-            });
-            if target.is_some() {
-                break;
-            }
-        }
-        let (ui, stmt) = target.expect("every workload has an assignment somewhere");
-        if ui != 0 {
-            let uname = s.program.units[ui].name.clone();
-            s.select_unit(&uname).expect("select edit unit");
-        }
-        let before = s.stats();
-        s.edit_statement(stmt, "ZQBENCH = 1").expect("bench edit");
-        let after = s.stats();
-        let edit_misses = after.scalar_misses - before.scalar_misses;
-        let edit_hits = after.scalar_hits - before.scalar_hits;
-        assert_eq!(
-            edit_misses, 1,
-            "{name}: a single-unit edit must rebuild exactly one unit's facts"
-        );
-        assert_eq!(
-            edit_hits,
-            units as u64 - 1,
-            "{name}: every unedited unit must be served from the memo"
-        );
-
-        // Paired interleaved timing for the prewarm assertion ratio:
-        // alternating the two variants inside one loop cancels allocator
-        // and frequency drift, and the *median* of the per-pair ratios
-        // shrugs off the scheduler outliers that make independent-run
-        // minima flake at the couple-percent level.
-        let pairs = if name == "synth60" { 32 } else { 96 };
-        let mut ratios = Vec::with_capacity(pairs);
-        for k in 0..pairs {
-            // Alternate which variant goes first (see bench4: the
-            // second run of a pair sees different allocator state, and
-            // that position bias is systematic).
-            let (first, second) = if k % 2 == 0 { (1, 0) } else { (0, 1) };
-            let t = std::time::Instant::now();
-            black_box(PedSession::open_with(prog.clone(), first));
-            let a = t.elapsed().as_secs_f64() * 1e6;
-            let t = std::time::Instant::now();
-            black_box(PedSession::open_with(prog.clone(), second));
-            let b = t.elapsed().as_secs_f64() * 1e6;
-            let (serial_us, auto_us) = if k % 2 == 0 { (a, b) } else { (b, a) };
-            ratios.push(serial_us / auto_us.max(1e-9));
-        }
-        ratios.sort_by(|a, b| a.total_cmp(b));
-        let open_ratio = ratios[pairs / 2];
-
-        phases.extend([
-            open_serial.clone(),
-            open_auto.clone(),
-            facts_warm.clone(),
-            facts_cold.clone(),
-        ]);
-        rows.push(Row {
-            name,
-            units,
-            open_serial,
-            open_auto,
-            open_ratio,
-            facts_warm,
-            facts_cold,
-            edit_misses,
-            edit_hits,
-        });
-        println!();
-    }
-
-    // String-vs-interned micro: the same reference stream resolved
-    // through a String-keyed map vs. a NameId-keyed map (what the
-    // dependence builder's grouping pass pays per reference).
-    let synth = parse_ok(&synthetic_source(60));
-    let unit = &synth.units[0];
-    let sym = SymbolTable::build(unit);
-    let refs = RefTable::build(unit, &sym);
-    let mut smap: HashMap<String, usize> = HashMap::new();
-    let mut imap: HashMap<NameId, usize> = HashMap::new();
-    for (i, r) in refs.refs.iter().enumerate() {
-        smap.entry(r.name.clone()).or_insert(i);
-        imap.entry(r.name_id).or_insert(i);
-    }
-    let lookup_string = bench_with("lookup-string:synth60", 200, 512, &mut || {
-        let mut acc = 0usize;
-        for r in &refs.refs {
-            acc += smap[r.name.as_str()];
-        }
-        black_box(acc);
-    });
-    let lookup_interned = bench_with("lookup-interned:synth60", 200, 512, &mut || {
-        let mut acc = 0usize;
-        for r in &refs.refs {
-            acc += imap[&r.name_id];
-        }
-        black_box(acc);
-    });
-    let interned_speedup = lookup_string.mean_us / lookup_interned.mean_us.max(1e-9);
-    phases.extend([lookup_string.clone(), lookup_interned.clone()]);
-    println!();
-
-    println!(
-        "{:<10} {:>6} {:>16} {:>12} {:>10}",
-        "workload", "units", "auto/serial(med)", "warm-facts", "edit-hits"
-    );
-    let mut min_open_ratio = f64::INFINITY;
-    let mut warm_total = 0.0f64;
-    let mut cold_total = 0.0f64;
-    for r in &rows {
-        // Median of per-pair ratios: auto prewarm must never lose to
-        // serial beyond measurement noise.
-        let open_ratio = r.open_ratio;
-        min_open_ratio = min_open_ratio.min(open_ratio);
-        let facts_speedup = r.facts_cold.mean_us / r.facts_warm.mean_us.max(1e-9);
-        warm_total += r.facts_warm.mean_us;
-        cold_total += r.facts_cold.mean_us;
-        println!(
-            "{:<10} {:>6} {:>15.2}x {:>11.2}x {:>7}/{:<2}",
-            r.name,
-            r.units,
-            open_ratio,
-            facts_speedup,
-            r.edit_hits,
-            r.units.saturating_sub(1)
-        );
-        assert!(
-            open_ratio >= 0.98,
-            "{}: auto prewarm open regressed vs serial ({:.3}x on paired medians)",
-            r.name,
-            open_ratio
-        );
-    }
-    let facts_speedup_total = cold_total / warm_total.max(1e-9);
-    println!(
-        "\nwarm vs cold facts rebuild   : {facts_speedup_total:.2}x\nString vs NameId map lookup  : {interned_speedup:.2}x"
-    );
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"generated_by\": \"ped-bench\",\n");
-    json.push_str(&format!("  \"available_parallelism\": {cores},\n"));
-    json.push_str("  \"summary\": {\n");
-    json.push_str(&format!(
-        "    \"min_open_auto_vs_serial_ratio\": {min_open_ratio:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"facts_warm_vs_cold_speedup\": {facts_speedup_total:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"interned_lookup_speedup\": {interned_speedup:.2},\n"
-    ));
-    json.push_str("    \"unedited_unit_hit_rate\": 100.0\n");
-    json.push_str("  },\n");
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        json.push_str(&format!("      \"units\": {},\n", r.units));
-        json.push_str(&format!(
-            "      \"open_serial_us\": {:.3},\n      \"open_auto_us\": {:.3},\n",
-            r.open_serial.mean_us, r.open_auto.mean_us
-        ));
-        json.push_str(&format!(
-            "      \"open_auto_vs_serial_ratio\": {:.2},\n",
-            r.open_ratio
-        ));
-        json.push_str(&format!(
-            "      \"facts_warm_us\": {:.3},\n      \"facts_cold_us\": {:.3},\n",
-            r.facts_warm.mean_us, r.facts_cold.mean_us
-        ));
-        json.push_str(&format!(
-            "      \"edit_scalar_misses\": {},\n      \"edit_scalar_hits\": {}\n",
-            r.edit_misses, r.edit_hits
-        ));
-        json.push_str(if i + 1 < rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"phases\": [\n");
-    for (i, s) in phases.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(&s.to_json());
-        json.push_str(if i + 1 < phases.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(out_path, json).expect("write BENCH_5.json");
-    println!("wrote {out_path}");
+    run(&out);
 }

@@ -1,5 +1,4 @@
-//! `ped-par-bench` — whole-program auto-parallelization timings,
-//! written as `BENCH_8.json`.
+//! BENCH_8: whole-program auto-parallelization timings.
 //!
 //! Runs the `ped-par` pass over every workshop program plus the 60-loop
 //! synthetic, through a `PedSession` per program, in two regimes:
@@ -16,14 +15,17 @@
 //! the cold regime and the memoized speedup. The memo is asserted to
 //! return the identical report object (`Arc` identity), so a cache
 //! regression fails the bench rather than skewing it.
-//!
-//! Usage: `ped-par-bench [OUTPUT.json] [--iters N]`
 
+use crate::cases;
+use crate::harness::{num, obj, write_report};
 use ped::session::PedSession;
-use ped_fortran::parser::parse_ok;
 use ped_par::VerifyStatus;
+use ped_server::json::Value;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Iterations per program; each regime reports its best.
+const ITERS: usize = 3;
 
 struct Row {
     name: String,
@@ -38,36 +40,23 @@ struct Row {
     memo_secs: f64,
 }
 
-fn main() {
-    let mut out_path = "BENCH_8.json".to_string();
-    let mut iters = 3usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--iters" => iters = args.next().and_then(|v| v.parse().ok()).unwrap_or(3),
-            other => out_path = other.to_string(),
-        }
-    }
-
-    let mut sources: Vec<(String, String)> = ped_workloads::all_programs()
-        .into_iter()
-        .map(|p| (p.name.to_string(), p.source.to_string()))
-        .collect();
-    sources.push(("synth60".into(), ped_workloads::synthetic_source(60)));
+/// BENCH_8: cold vs memoized `parallelize()` per case.
+pub fn bench8(out: &str) {
+    let cases = cases();
     println!(
-        "ped-par-bench: {} programs, best of {iters} iters\n",
-        sources.len()
+        "ped-bench 8: {} programs, best of {ITERS} iters\n",
+        cases.len()
     );
 
     let mut rows: Vec<Row> = Vec::new();
     let mut par_hits = 0u64;
     let mut par_misses = 0u64;
-    for (name, src) in &sources {
+    for (name, prog) in &cases {
         let mut best_cold = f64::MAX;
         let mut best_memo = f64::MAX;
         let mut report = None;
-        for _ in 0..iters {
-            let s = PedSession::open(parse_ok(src));
+        for _ in 0..ITERS {
+            let s = PedSession::open(prog.clone());
             let t = Instant::now();
             let cold = s.parallelize();
             best_cold = best_cold.min(t.elapsed().as_secs_f64());
@@ -141,39 +130,34 @@ fn main() {
          {total_verified}/{total_directives} DOALLs verified; memoized speedup {memo_speedup:.0}x"
     );
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"program\": \"{}\", \"nests\": {}, \"parallel\": {}, \
-                 \"after_transform\": {}, \"serial\": {}, \"directives\": {}, \
-                 \"verified\": {}, \"demoted\": {}, \"cold_secs\": {:.6}, \
-                 \"memoized_secs\": {:.6}}}",
-                r.name,
-                r.nests,
-                r.parallel,
-                r.after_transform,
-                r.serial,
-                r.directives,
-                r.verified,
-                r.demoted,
-                r.cold_secs,
-                r.memo_secs
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"generated_by\": \"ped-par-bench\",\n  \"programs\": {},\n  \"summary\": {{\n    \"nests\": {},\n    \"directives\": {},\n    \"verified\": {},\n    \"cold_loops_per_sec\": {:.0},\n    \"memoized_speedup\": {:.0},\n    \"par_hits\": {},\n    \"par_misses\": {}\n  }},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        sources.len(),
-        total_nests,
-        total_directives,
-        total_verified,
-        loops_per_sec,
-        memo_speedup,
-        par_hits,
-        par_misses,
-        json_rows.join(",\n")
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_8.json");
-    println!("wrote {out_path}");
+    let workloads = rows.iter().map(|r| {
+        obj([
+            ("program", Value::str(r.name.as_str())),
+            ("nests", Value::int(r.nests as i64)),
+            ("parallel", Value::int(r.parallel as i64)),
+            ("after_transform", Value::int(r.after_transform as i64)),
+            ("serial", Value::int(r.serial as i64)),
+            ("directives", Value::int(r.directives as i64)),
+            ("verified", Value::int(r.verified as i64)),
+            ("demoted", Value::int(r.demoted as i64)),
+            ("cold_secs", num(r.cold_secs, 6)),
+            ("memoized_secs", num(r.memo_secs, 6)),
+        ])
+    });
+    let summary = obj([
+        ("nests", Value::int(total_nests as i64)),
+        ("directives", Value::int(total_directives as i64)),
+        ("verified", Value::int(total_verified as i64)),
+        ("cold_loops_per_sec", num(loops_per_sec, 0)),
+        ("memoized_speedup", num(memo_speedup, 0)),
+        ("par_hits", Value::int(par_hits as i64)),
+        ("par_misses", Value::int(par_misses as i64)),
+    ]);
+    let report = obj([
+        ("generated_by", Value::str("ped-bench 8")),
+        ("programs", Value::int(cases.len() as i64)),
+        ("summary", summary),
+        ("workloads", Value::Arr(workloads.collect())),
+    ]);
+    write_report(out, &report);
 }

@@ -1,38 +1,35 @@
-//! `ped-serve-bench` — the server load harness.
+//! Server load suites against an in-process `ped-serve`.
 //!
-//! Default mode replays the Table 2 persona wire scripts
-//! (`ped_workloads::scripts`) as N concurrent TCP clients against an
-//! in-process `ped-serve` and writes `BENCH_2.json` (throughput and
-//! p50/p99 for 1 vs N clients).
-//!
-//! `--bench6` runs the event-loop/snapshot suite and writes
-//! `BENCH_6.json`:
-//!
-//! * **paired-median scaling** — 1-client and N-client runs strictly
-//!   alternated, medians compared (the same methodology `ped-bench`
-//!   uses), gated to improve on the thread-pool server's committed
-//!   BENCH_2 scaling;
-//! * **read-heavy persona mix** — N readers hammer `deps`/`vars`/
-//!   `stmts`/`lint`/`stats` on ONE shared session while a writer storm
-//!   edits that same session; per-method p50/p99 histograms, gated:
-//!   storm read p99 ≤ 3× the no-writer baseline (snapshot reads must
-//!   not queue behind the writer lock);
-//! * **many sessions** — ≥1k concurrent live sessions multiplexed over
-//!   32 connections, comfortably inside the default fd budget.
-//!
-//! `--smoke` is the CI gate: 8 concurrent clients, every response
-//! checked byte-for-byte against the single-threaded in-process
-//! oracle.
-//!
-//! Usage: `ped-serve-bench [OUTPUT.json] [--clients N] [--iters N]
-//!                         [--bench6] [--smoke]`
+//! * **BENCH_2** replays the Table 2 persona wire scripts
+//!   (`ped_workloads::scripts`) as 1 vs 8 concurrent TCP
+//!   clients: throughput and p50/p99.
+//! * **BENCH_6** is the event-loop/snapshot suite:
+//!   - **scaling** — 1-client and N-client runs alternated in a fixed
+//!     order, medians compared, gated to improve on the thread-pool
+//!     server's committed BENCH_2 scaling;
+//!   - **read-heavy persona mix** — 4 readers hammer `deps`/`vars`/
+//!     `stmts`/`lint`/`stats` on ONE shared session while a writer storm
+//!     edits that same session; per-method p50/p99, gated: storm read
+//!     p99 <= 3x the no-writer baseline (snapshot reads must not queue
+//!     behind the writer lock);
+//!   - **many sessions** — >= 1k concurrent live sessions multiplexed
+//!     over 32 connections, comfortably inside the default fd budget.
+//! * [`smoke`] — 8 concurrent clients, every response checked
+//!   byte-for-byte against the single-threaded in-process oracle.
 
-use ped_bench::harness::percentile;
+use crate::harness::{median, num, obj, percentile, write_report};
+use ped_analysis::fanout::probe_cores;
+use ped_server::json::{self, Value};
 use ped_server::{ManagerConfig, ServerConfig};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+
+/// Concurrent clients of the loaded scenarios and the smoke gate.
+const CLIENTS: usize = 8;
+/// Persona-script replays per client in BENCH_2's measured scenarios.
+const ITERS: usize = 2;
 
 /// One client's work: replay every persona script `iters` times over a
 /// single connection, with per-request latencies in microseconds.
@@ -126,11 +123,18 @@ fn run_scenario(clients: usize, iters: usize, check_oracle: bool) -> Scenario {
     s
 }
 
-fn scenario_json(s: &Scenario) -> String {
-    format!(
-        "{{\"clients\": {}, \"requests\": {}, \"wall_secs\": {:.3}, \"throughput_rps\": {:.1}, \"mean_us\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-        s.clients, s.requests, s.wall_secs, s.throughput_rps, s.mean_us, s.p50_us, s.p99_us
-    )
+impl Scenario {
+    fn to_value(&self) -> Value {
+        obj([
+            ("clients", Value::int(self.clients as i64)),
+            ("requests", Value::int(self.requests as i64)),
+            ("wall_secs", num(self.wall_secs, 3)),
+            ("throughput_rps", num(self.throughput_rps, 1)),
+            ("mean_us", num(self.mean_us, 1)),
+            ("p50_us", num(self.p50_us, 1)),
+            ("p99_us", num(self.p99_us, 1)),
+        ])
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -140,19 +144,6 @@ fn scenario_json(s: &Scenario) -> String {
 /// The thread-pool server's committed BENCH_2 throughput scaling on the
 /// reference 1-core container; the event loop is gated to beat it.
 const BENCH2_REFERENCE_SCALING: f64 = 1.42;
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    }
-}
 
 /// A synthetic unit with `arrays` loop-carried recurrences, sized so
 /// `deps` responses are a few KB and every edit forces reanalysis.
@@ -207,19 +198,13 @@ fn find_stmt_id(stmts_resp: &str, needle: &str) -> u32 {
     panic!("statement '{needle}' not found in {stmts_resp}");
 }
 
-/// Extract an integer field like `"writer_publishes":42` from a
-/// response line.
-fn find_u64_field(resp: &str, field: &str) -> u64 {
-    let pat = format!("\"{field}\":");
-    let at = resp
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {field} in {resp}"));
-    resp[at + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .expect("integer field")
+/// An integer member of a successful response's `result`.
+fn result_u64(resp: &str, field: &str) -> u64 {
+    let v = json::parse(resp).expect("response is JSON");
+    v.get("result")
+        .and_then(|r| r.get(field))
+        .and_then(Value::as_i64)
+        .unwrap_or_else(|| panic!("no {field} in {resp}")) as u64
 }
 
 const READ_METHODS: [&str; 5] = ["deps", "vars", "stmts", "lint", "stats"];
@@ -317,8 +302,8 @@ fn run_read_heavy(readers: usize, with_writer: bool, duration: Duration) -> MixR
     let wall_secs = t0.elapsed().as_secs_f64();
 
     let stats = setup.ask("{\"id\":3,\"method\":\"stats\",\"params\":{\"session\":\"storm\"}}");
-    let writer_publishes = find_u64_field(&stats, "writer_publishes");
-    let snapshot_reads = find_u64_field(&stats, "snapshot_reads");
+    let writer_publishes = result_u64(&stats, "writer_publishes");
+    let snapshot_reads = result_u64(&stats, "snapshot_reads");
     server.stop();
 
     let mut all_reads: Vec<f64> = per_method.values().flatten().copied().collect();
@@ -344,21 +329,17 @@ fn run_read_heavy(readers: usize, with_writer: bool, duration: Duration) -> MixR
     }
 }
 
-fn per_method_json(per_method: &BTreeMap<&'static str, Vec<f64>>) -> String {
-    let fields: Vec<String> = per_method
-        .iter()
-        .map(|(m, lat)| {
-            let mut sorted = lat.clone();
-            sorted.sort_by(|a, b| a.total_cmp(b));
-            format!(
-                "\"{m}\": {{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-                sorted.len(),
-                percentile(&sorted, 0.50),
-                percentile(&sorted, 0.99)
-            )
-        })
-        .collect();
-    format!("{{{}}}", fields.join(", "))
+fn per_method_value(per_method: &BTreeMap<&'static str, Vec<f64>>) -> Value {
+    obj(per_method.iter().map(|(m, lat)| {
+        let mut sorted = lat.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let row = obj([
+            ("count", Value::int(sorted.len() as i64)),
+            ("p50_us", num(percentile(&sorted, 0.50), 1)),
+            ("p99_us", num(percentile(&sorted, 0.99), 1)),
+        ]);
+        (*m, row)
+    }))
 }
 
 /// ≥1k live sessions multiplexed over a handful of connections — the
@@ -420,25 +401,65 @@ fn run_many_sessions(connections: usize, per_conn: usize) -> (usize, usize) {
     (peak, end)
 }
 
-fn run_bench6(out_path: &str, clients: usize, pairs: usize) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+/// BENCH_2: persona-script throughput and latency, 1 vs 8 clients.
+pub fn bench2(out: &str) {
+    let cores = probe_cores();
+    println!("ped-bench 2: {cores} core(s), {CLIENTS} clients x {ITERS} iters\n");
+
+    // Warm-up (and correctness gate): one client, oracle-checked.
+    println!("oracle check:");
+    run_scenario(1, 1, true);
+    std::thread::sleep(Duration::from_millis(50));
+
+    println!("\nmeasured scenarios:");
+    let base = run_scenario(1, ITERS, false);
+    std::thread::sleep(Duration::from_millis(50));
+    let loaded = run_scenario(CLIENTS, ITERS, false);
+
+    let scaling = loaded.throughput_rps / base.throughput_rps.max(1e-9);
+    println!(
+        "\nthroughput {} -> {} clients: {:.2}x ({} core(s))",
+        base.clients, loaded.clients, scaling, cores
+    );
+    let report = obj([
+        ("generated_by", Value::str("ped-bench 2")),
+        ("available_parallelism", Value::int(cores as i64)),
+        (
+            "summary",
+            obj([
+                ("clients", Value::int(CLIENTS as i64)),
+                ("throughput_scaling", num(scaling, 2)),
+            ]),
+        ),
+        (
+            "scenarios",
+            Value::Arr(vec![base.to_value(), loaded.to_value()]),
+        ),
+    ]);
+    write_report(out, &report);
+}
+
+/// BENCH_6: the event-loop/snapshot suite.
+pub fn bench6(out: &str) {
+    const PAIRS: usize = 3;
+    let clients = CLIENTS;
+    let cores = probe_cores();
+    println!("ped-bench 6: {cores} core(s), {clients} clients\n");
 
     println!("oracle check:");
     run_scenario(clients, 1, true);
 
-    // Paired medians: base and loaded runs strictly alternated so
+    // Medians of base and loaded runs alternated in a fixed order, so
     // machine drift hits both sides equally.
-    println!("\npaired scaling ({pairs} pairs):");
+    println!("\npaired scaling ({PAIRS} pairs):");
     let mut base_rps = Vec::new();
     let mut loaded_rps = Vec::new();
-    for _ in 0..pairs {
+    for _ in 0..PAIRS {
         base_rps.push(run_scenario(1, 1, false).throughput_rps);
         loaded_rps.push(run_scenario(clients, 1, false).throughput_rps);
     }
-    let base_median = median(base_rps.clone());
-    let loaded_median = median(loaded_rps.clone());
+    let base_median = median(&base_rps);
+    let loaded_median = median(&loaded_rps);
     let scaling = loaded_median / base_median.max(1e-9);
     println!(
         "  medians: {base_median:.1} -> {loaded_median:.1} req/s, scaling {scaling:.2}x \
@@ -481,79 +502,63 @@ fn run_bench6(out_path: &str, clients: usize, pairs: usize) {
     );
     assert_eq!(end, 0, "sessions leaked after close");
 
-    let json = format!(
-        "{{\n  \"generated_by\": \"ped-serve-bench --bench6\",\n  \"available_parallelism\": {cores},\n  \"scaling\": {{\n    \"pairs\": {pairs},\n    \"clients\": {clients},\n    \"base_median_rps\": {base_median:.1},\n    \"loaded_median_rps\": {loaded_median:.1},\n    \"throughput_scaling\": {scaling:.2},\n    \"bench2_reference_scaling\": {BENCH2_REFERENCE_SCALING:.2},\n    \"gate_improves_on_bench2\": true\n  }},\n  \"read_heavy\": {{\n    \"readers\": 4,\n    \"seconds_per_phase\": {:.1},\n    \"baseline\": {{\"read_p99_us\": {:.1}, \"per_method\": {}}},\n    \"storm\": {{\"read_p99_us\": {:.1}, \"writer_publishes\": {}, \"snapshot_reads\": {}, \"per_method\": {}}},\n    \"read_p99_ratio\": {ratio:.2},\n    \"gate_read_p99_within_3x\": true\n  }},\n  \"many_sessions\": {{\n    \"connections\": {connections},\n    \"sessions\": {},\n    \"peak_live_sessions\": {peak},\n    \"gate_1k_sessions\": true\n  }}\n}}\n",
-        baseline.wall_secs.max(storm.wall_secs),
-        baseline.read_p99_us,
-        per_method_json(&baseline.per_method),
-        storm.read_p99_us,
-        storm.writer_publishes,
-        storm.snapshot_reads,
-        per_method_json(&storm.per_method),
-        connections * per_conn
-    );
-    std::fs::write(out_path, json).expect("write BENCH_6.json");
-    println!("\nwrote {out_path}");
+    let scaling_value = obj([
+        ("pairs", Value::int(PAIRS as i64)),
+        ("clients", Value::int(clients as i64)),
+        ("base_median_rps", num(base_median, 1)),
+        ("loaded_median_rps", num(loaded_median, 1)),
+        ("throughput_scaling", num(scaling, 2)),
+        ("bench2_reference_scaling", num(BENCH2_REFERENCE_SCALING, 2)),
+        ("gate_improves_on_bench2", Value::Bool(true)),
+    ]);
+    let read_heavy = obj([
+        ("readers", Value::int(4)),
+        (
+            "seconds_per_phase",
+            num(baseline.wall_secs.max(storm.wall_secs), 1),
+        ),
+        (
+            "baseline",
+            obj([
+                ("read_p99_us", num(baseline.read_p99_us, 1)),
+                ("per_method", per_method_value(&baseline.per_method)),
+            ]),
+        ),
+        (
+            "storm",
+            obj([
+                ("read_p99_us", num(storm.read_p99_us, 1)),
+                (
+                    "writer_publishes",
+                    Value::int(storm.writer_publishes as i64),
+                ),
+                ("snapshot_reads", Value::int(storm.snapshot_reads as i64)),
+                ("per_method", per_method_value(&storm.per_method)),
+            ]),
+        ),
+        ("read_p99_ratio", num(ratio, 2)),
+        ("gate_read_p99_within_3x", Value::Bool(true)),
+    ]);
+    let many_sessions = obj([
+        ("connections", Value::int(connections as i64)),
+        ("sessions", Value::int((connections * per_conn) as i64)),
+        ("peak_live_sessions", Value::int(peak as i64)),
+        ("gate_1k_sessions", Value::Bool(true)),
+    ]);
+    let report = obj([
+        ("generated_by", Value::str("ped-bench 6")),
+        ("available_parallelism", Value::int(cores as i64)),
+        ("scaling", scaling_value),
+        ("read_heavy", read_heavy),
+        ("many_sessions", many_sessions),
+    ]);
+    write_report(out, &report);
 }
 
-fn main() {
-    let mut out_path: Option<String> = None;
-    let mut clients = 8usize;
-    let mut iters = 2usize;
-    let mut bench6 = false;
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--clients" => clients = args.next().and_then(|v| v.parse().ok()).unwrap_or(8),
-            "--iters" => iters = args.next().and_then(|v| v.parse().ok()).unwrap_or(2),
-            "--bench6" => bench6 = true,
-            "--smoke" => smoke = true,
-            other => out_path = Some(other.to_string()),
-        }
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    if smoke {
-        // CI gate: concurrent bytes must equal the sequential oracle's.
-        println!("ped-serve-bench --smoke: {clients} oracle-checked clients ({cores} core(s))");
-        run_scenario(clients, 1, true);
-        println!("smoke ok");
-        return;
-    }
-    if bench6 {
-        let out = out_path.unwrap_or_else(|| "BENCH_6.json".to_string());
-        println!("ped-serve-bench --bench6: {cores} core(s), {clients} clients\n");
-        run_bench6(&out, clients, 3);
-        return;
-    }
-
-    let out_path = out_path.unwrap_or_else(|| "BENCH_2.json".to_string());
-    println!("ped-serve-bench: {cores} core(s), {clients} clients x {iters} iters\n");
-
-    // Warm-up (and correctness gate): one client, oracle-checked.
-    println!("oracle check:");
-    run_scenario(1, 1, true);
-    std::thread::sleep(Duration::from_millis(50));
-
-    println!("\nmeasured scenarios:");
-    let base = run_scenario(1, iters, false);
-    std::thread::sleep(Duration::from_millis(50));
-    let loaded = run_scenario(clients, iters, false);
-
-    let scaling = loaded.throughput_rps / base.throughput_rps.max(1e-9);
-    println!(
-        "\nthroughput {} -> {} clients: {:.2}x ({} core(s))",
-        base.clients, loaded.clients, scaling, cores
-    );
-
-    let json = format!(
-        "{{\n  \"generated_by\": \"ped-serve-bench\",\n  \"available_parallelism\": {cores},\n  \"summary\": {{\n    \"clients\": {clients},\n    \"throughput_scaling\": {scaling:.2}\n  }},\n  \"scenarios\": [\n    {},\n    {}\n  ]\n}}\n",
-        scenario_json(&base),
-        scenario_json(&loaded)
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_2.json");
-    println!("wrote {out_path}");
+/// The server half of `--smoke`: concurrent bytes must equal the
+/// sequential oracle's.
+pub fn smoke() {
+    println!("ped-bench --smoke: {CLIENTS} oracle-checked server clients");
+    run_scenario(CLIENTS, 1, true);
+    println!("ped-bench --smoke: server responses byte-identical to the oracle");
 }

@@ -152,43 +152,17 @@ impl<'p> Machine<'p> {
             }
         }
         // Precompute reductions and privatizable arrays per loop for
-        // parallel execution. Privatization uses the same symbolic facts
-        // the editor's analyses use (global relations + per-unit
-        // invariant relations), so the runtime honors exactly the
-        // certifications PED hands out.
-        let gfacts = ped_analysis::global::global_symbolic_facts(program);
-        let mut reductions = HashMap::new();
-        let mut array_reduce_stmts = HashSet::new();
-        let mut private_arrays: HashMap<StmtId, Vec<String>> = HashMap::new();
-        for u in &program.units {
-            let st = &symtabs[&u.name.to_ascii_uppercase()];
-            let refs = ped_analysis::refs::RefTable::build(u, st);
-            let cfg = ped_analysis::Cfg::build(u);
-            let nest = ped_analysis::loops::LoopNest::build(u);
-            let mut env = gfacts.clone();
-            let local = ped_analysis::symbolic::detect_invariant_relations(u, st, &refs, &cfg);
-            for (n, l) in local.subst {
-                env.add_subst(n, l);
-            }
-            for l in &nest.loops {
-                let reds = ped_analysis::reductions::find_reductions(u, st, &refs, l);
-                for r in &reds {
-                    if !r.is_scalar() {
-                        array_reduce_stmts.insert(r.stmt);
-                    }
-                }
-                reductions.insert(l.stmt, reds);
-                let kills = ped_analysis::array_kill::analyze_loop(u, st, &env, l);
-                let priv_arrays: Vec<String> = kills
-                    .into_iter()
-                    .filter(|(_, s)| *s == ped_analysis::array_kill::ArrayKillStatus::Private)
-                    .map(|(n, _)| n)
-                    .collect();
-                if !priv_arrays.is_empty() {
-                    private_arrays.insert(l.stmt, priv_arrays);
-                }
-            }
-        }
+        // parallel execution.
+        let ped_analysis::doall::DoallFacts {
+            reductions,
+            array_reduce_stmts,
+            private_arrays,
+        } = ped_analysis::doall::doall_facts(
+            program
+                .units
+                .iter()
+                .map(|u| (u, &symtabs[&u.name.to_ascii_uppercase()])),
+        );
         Ok(Machine {
             program,
             symtabs,

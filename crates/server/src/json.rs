@@ -145,10 +145,15 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse one JSON document; trailing non-whitespace is an error.
+/// Parse one JSON document; trailing non-whitespace is an error, and so
+/// is nesting deeper than [`Parser::MAX_DEPTH`] arrays and objects.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -161,9 +166,29 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// Deepest accepted nesting. The parser recurses once per level, so
+    /// an unbounded depth lets one request line overflow the stack of
+    /// the thread parsing it.
+    const MAX_DEPTH: usize = 128;
+
+    /// Enter one array or object level.
+    fn nest(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > Self::MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {} at byte {}",
+                Self::MAX_DEPTH,
+                self.pos
+            ));
+        }
+        Ok(())
+    }
+
     fn ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -208,10 +233,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Value, String> {
         self.expect(b'{')?;
+        self.nest()?;
         let mut fields = Vec::new();
         self.ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Obj(fields));
         }
         loop {
@@ -227,6 +254,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Obj(fields));
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
@@ -236,10 +264,12 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<Value, String> {
         self.expect(b'[')?;
+        self.nest()?;
         let mut items = Vec::new();
         self.ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Arr(items));
         }
         loop {
@@ -250,6 +280,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Arr(items));
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
@@ -422,6 +453,20 @@ mod tests {
         assert_eq!(v.encode(), src);
         let mixed = "[[],[[]],[1,[2,[3,[]]],\"x\"],{\"a\":[null,[true]]}]";
         assert_eq!(parse(mixed).unwrap().encode(), mixed);
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(Parser::MAX_DEPTH)).is_ok());
+        let err = parse(&deep(Parser::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Without the limit, 20,000 levels overflow a thread's stack.
+        assert!(parse(&"[".repeat(20_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(20_000)).is_err());
+        // Depth is counted per open container, not per container seen.
+        let wide = format!("[{}1]", "[],{},".repeat(1_000));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! COMMON members resolved to process-flat storage indices, and
 //! [`DoSpec`]s that carry the DOALL schedule plus the reduction and
 //! privatization facts the parallel dispatcher needs. The compiler runs
-//! the *same* analyses the tree-walk interpreter runs per execution
-//! (`global_symbolic_facts`, `find_reductions`, `array_kill`) — but runs
-//! them once, at compile time, and the result is memoized process-wide
+//! the *same* analysis the tree-walk interpreter runs per execution
+//! ([`ped_analysis::doall::doall_facts`]) — but runs it once, at
+//! compile time, and the result is memoized process-wide
 //! by content fingerprint ([`compile_cached`]).
 //!
 //! Faithfulness contract: compiled execution must be byte-identical to
@@ -446,39 +446,16 @@ fn compile_inner(
 
     // Parallel-execution facts, computed once. The tree-walk recomputes
     // these on every run — amortizing them is the VM's dominant speedup.
-    let gfacts = ped_analysis::global::global_symbolic_facts(program);
-    let mut reductions = HashMap::new();
-    let mut array_reduce_stmts = HashSet::new();
-    let mut private_arrays: HashMap<StmtId, Vec<String>> = HashMap::new();
-    for u in &program.units {
-        let st = symtabs[&u.name.to_ascii_uppercase()];
-        let refs = ped_analysis::refs::RefTable::build(u, st);
-        let cfg = ped_analysis::Cfg::build(u);
-        let nest = ped_analysis::loops::LoopNest::build(u);
-        let mut env = gfacts.clone();
-        let local = ped_analysis::symbolic::detect_invariant_relations(u, st, &refs, &cfg);
-        for (n, l) in local.subst {
-            env.add_subst(n, l);
-        }
-        for l in &nest.loops {
-            let reds = ped_analysis::reductions::find_reductions(u, st, &refs, l);
-            for r in &reds {
-                if !r.is_scalar() {
-                    array_reduce_stmts.insert(r.stmt);
-                }
-            }
-            reductions.insert(l.stmt, reds);
-            let kills = ped_analysis::array_kill::analyze_loop(u, st, &env, l);
-            let privs: Vec<String> = kills
-                .into_iter()
-                .filter(|(_, s)| *s == ped_analysis::array_kill::ArrayKillStatus::Private)
-                .map(|(n, _)| n)
-                .collect();
-            if !privs.is_empty() {
-                private_arrays.insert(l.stmt, privs);
-            }
-        }
-    }
+    let ped_analysis::doall::DoallFacts {
+        reductions,
+        array_reduce_stmts,
+        private_arrays,
+    } = ped_analysis::doall::doall_facts(
+        program
+            .units
+            .iter()
+            .map(|u| (u, symtabs[&u.name.to_ascii_uppercase()])),
+    );
 
     let cx = ProgramContext {
         program,

@@ -21,15 +21,10 @@ if ./target/release/ped-lint examples/fortran/recurrence.f >/dev/null; then
 fi
 echo "ci: ped-lint self-check passed"
 
-# Dependence-engine gates: the differential oracle (canonicalization
-# engine vs per-pair tester, byte-identical graphs) and the quick
-# fast-vs-general smoke over every workload unit. The smoke also runs
-# the scalar-store gate: a forced no-op reanalyze of every workload must
-# record zero scalar-facts misses (nothing rebuilt).
+# Dependence-engine gate: the differential oracle (canonicalization
+# engine vs per-pair tester, byte-identical graphs).
 cargo test -q --offline -p ped-dependence --test hierarchy_oracle
-cargo build --release --offline -p ped-bench --bin ped-bench
-./target/release/ped-bench --smoke
-echo "ci: dependence oracle + smoke passed"
+echo "ci: dependence oracle passed"
 
 # Interning gates: rendered output across every workload must be
 # byte-identical to the pre-interning goldens, one reanalyze miss must
@@ -40,21 +35,20 @@ cargo test -q --offline -p ped --test build_counts
 cargo test -q --offline -p ped-batch --test build_counts
 echo "ci: interning oracle + single-build gates passed"
 
-# Server smoke gate: 8 concurrent wire clients against the nonblocking
-# event loop, every response byte-identical to the single-threaded
-# in-process oracle.
-cargo build --release --offline -p ped-bench --bin ped-serve-bench
-./target/release/ped-serve-bench --smoke
-echo "ci: server oracle smoke passed"
-
-# Bytecode-VM gate: every workload (plus synth60) must execute
-# byte-identically on the VM vs the tree-walk interpreter — output
-# lines, race reports, step counts, and parallel-loop stats — serially
-# and under 8 workers, and the tracing validate pass must classify the
-# known-spurious assumed edge as disproven.
-cargo build --release --offline -p ped-bench --bin ped-vm-bench
-./target/release/ped-vm-bench --smoke
-echo "ci: vm byte-identity smoke passed"
+# Bench smoke gates, one process:
+# * dependences: the fast path must match the general tester on every
+#   workload unit (plus synth60), serial and parallel; and a forced
+#   no-op reanalyze of every workload must record zero scalar-facts
+#   misses (nothing rebuilt);
+# * server: 8 concurrent wire clients against the nonblocking event
+#   loop, every response byte-identical to the single-threaded
+#   in-process oracle;
+# * VM: every workload (plus synth60) must execute byte-identically on
+#   the VM vs the tree-walk interpreter — output lines, race reports,
+#   step counts, and parallel-loop stats — serially, under 8 workers,
+#   and under the validating race checker.
+./target/release/ped-bench --smoke
+echo "ci: bench smoke gates passed"
 
 # Auto-parallelizer gate: ped-par over every workload (plus synth60)
 # must classify all nests, and every emitted CDOALL must survive its

@@ -125,6 +125,46 @@ fn oversized_requests_are_rejected() {
 }
 
 #[test]
+fn deeply_nested_request_gets_an_error_and_other_sessions_keep_answering() {
+    let mut server = spawn_server(ServerConfig::default());
+    let connect = || {
+        let stream = TcpStream::connect(server.addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        (stream.try_clone().unwrap(), BufReader::new(stream))
+    };
+    let ask = |(w, r): &mut (TcpStream, BufReader<TcpStream>), line: &str| {
+        w.write_all(line.as_bytes()).unwrap();
+        w.write_all(b"\n").unwrap();
+        let mut resp = String::new();
+        r.read_line(&mut resp).unwrap();
+        assert!(resp.ends_with('\n'), "no complete response to {line:.40}");
+        resp.trim_end().to_string()
+    };
+    let requests = [
+        open_source_request(1, "calm", &recurrence_source(2)),
+        deps_request(2, "calm"),
+        "{\"id\":3,\"method\":\"ping\"}".to_string(),
+        deps_request(4, "calm"),
+        "{\"id\":5,\"method\":\"close\",\"params\":{\"session\":\"calm\"}}".to_string(),
+    ];
+    let want = ped_server::oracle_replay(&requests);
+    let mut calm = connect();
+    let mut got: Vec<String> = requests[..2].iter().map(|q| ask(&mut calm, q)).collect();
+
+    // One 20,000-deep line: the parser must refuse it, not recurse until
+    // the event-loop thread's stack overflows.
+    let mut hostile = connect();
+    let resp = ask(&mut hostile, &"[".repeat(20_000));
+    assert!(resp.contains("\"ok\":false"), "{resp}");
+    assert!(resp.contains("bad request"), "{resp}");
+    assert!(resp.contains("nesting"), "{resp}");
+
+    got.extend(requests[2..].iter().map(|q| ask(&mut calm, q)));
+    assert_eq!(got, want, "open session diverged from the oracle");
+    server.stop();
+}
+
+#[test]
 fn shutdown_request_stops_the_server_gracefully() {
     let mut server = spawn_server(ServerConfig::default());
     let addr = server.addr;
